@@ -25,6 +25,7 @@ use std::sync::{mpsc, Arc};
 
 use wsyn_core::json::Value;
 use wsyn_core::Pool;
+use wsyn_stream::RebuildPolicy;
 
 use crate::protocol::{read_frame, write_frame, Request, Response};
 use crate::shard::{run_worker, shard_of, Job};
@@ -82,9 +83,7 @@ impl Server {
     /// # Errors
     /// A bind failure, or an invalid configuration.
     pub fn bind(addr: &str, config: &ServeConfig) -> Result<Server, String> {
-        if config.tolerance < 1.0 || config.tolerance.is_nan() {
-            return Err(format!("tolerance must be >= 1, got {}", config.tolerance));
-        }
+        RebuildPolicy::new(config.tolerance).map_err(|e| e.to_string())?;
         if config.queue_depth == 0 {
             return Err("queue depth must be positive".to_string());
         }

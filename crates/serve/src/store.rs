@@ -16,12 +16,12 @@
 //!
 //! Point updates are *batched*: [`Column::enqueue`] validates and queues
 //! them (the cheap ack on the ingest path), and [`Column::drain`]
-//! applies them through the tree one at a time — replicating
-//! `AdaptiveMaxErrSynopsis::update`'s degradation rule exactly, rebuild
-//! triggers included — before the next build, query, flush, or info
-//! touches the column. The rebuild decision therefore depends only on
-//! the update sequence, never on when the drain runs, which is what
-//! keeps server answers byte-identical to library answers.
+//! applies them through the tree one at a time — deciding rebuilds with
+//! the same [`RebuildPolicy`] `AdaptiveMaxErrSynopsis::update` calls —
+//! before the next build, query, flush, or info touches the column. The
+//! rebuild decision therefore depends only on the update sequence, never
+//! on when the drain runs, which is what keeps server answers
+//! byte-identical to library answers.
 //!
 //! Builds are **family-aware**: a build request may name a synopsis
 //! family from the workspace registry (`minmax`, `hist`, or the
@@ -34,7 +34,7 @@
 
 use wsyn_aqp::{bounds, QueryEngine1d, StepEngine};
 use wsyn_obs::Collector;
-use wsyn_stream::{DynamicErrorTree, StreamingMaxErr};
+use wsyn_stream::{DynamicErrorTree, RebuildPolicy, StreamingMaxErr};
 use wsyn_synopsis::family::{AUTO, HIST, MINMAX};
 use wsyn_synopsis::histogram::HistThresholder;
 use wsyn_synopsis::one_dim::MinMaxErr;
@@ -155,7 +155,7 @@ pub struct Built {
     /// the data as of the build.
     pub objective: f64,
     /// Accumulated `Σ|δ|` applied since the build (conservative
-    /// guarantee drift, as in the streaming rebuild policy).
+    /// guarantee drift, judged by [`RebuildPolicy::degraded`]).
     pub drift_abs: f64,
     /// Query engine over the built synopsis.
     pub engine: BuiltEngine,
@@ -237,25 +237,20 @@ pub struct Column {
     scratch: SolverScratch,
     built: Option<Built>,
     pending: Vec<(usize, f64)>,
-    tolerance: f64,
+    policy: RebuildPolicy,
     rebuilds: u64,
 }
 
 impl Column {
     /// Creates a column over `data`.
     ///
-    /// `tolerance >= 1` is the streaming rebuild knob: during a drain,
-    /// a rebuild triggers once the conservative guarantee exceeds
-    /// `tolerance ×` the built objective (absolute metric) or drift
-    /// exceeds `(tolerance − 1) ×` the sanity/objective scale
-    /// (relative), exactly as in `AdaptiveMaxErrSynopsis::update`.
+    /// `tolerance >= 1` is the [`RebuildPolicy`] factor a drain
+    /// consults after every applied update.
     ///
     /// # Errors
     /// A non-power-of-two or empty data vector, or `tolerance < 1`.
     pub fn new(data: &[f64], tolerance: f64) -> Result<Column, String> {
-        if tolerance < 1.0 || tolerance.is_nan() {
-            return Err(format!("tolerance must be >= 1, got {tolerance}"));
-        }
+        let policy = RebuildPolicy::new(tolerance).map_err(|e| e.to_string())?;
         let tree = DynamicErrorTree::new(data).map_err(|e| e.to_string())?;
         Ok(Column {
             tree,
@@ -266,7 +261,7 @@ impl Column {
             scratch: SolverScratch::new(),
             built: None,
             pending: Vec::new(),
-            tolerance,
+            policy,
             rebuilds: 0,
         })
     }
@@ -299,25 +294,22 @@ impl Column {
     /// [`Column::drain`]. Returns the new pending count.
     ///
     /// # Errors
-    /// An out-of-range index (nothing is queued — a batch is
-    /// all-or-nothing so a rejected ack leaves no partial state).
+    /// An out-of-range index or a non-finite delta
+    /// ([`DynamicErrorTree::check_update`]; nothing is queued — a batch
+    /// is all-or-nothing so a rejected ack leaves no partial state).
     pub fn enqueue(&mut self, updates: &[(usize, f64)]) -> Result<usize, String> {
-        let n = self.tree.n();
         for &(i, delta) in updates {
-            if i >= n {
-                return Err(format!("update index {i} out of range (N = {n})"));
-            }
-            if !delta.is_finite() {
-                return Err(format!("update delta at index {i} is not finite"));
-            }
+            self.tree
+                .check_update(i, delta)
+                .map_err(|e| e.to_string())?;
         }
         self.pending.extend_from_slice(updates);
         Ok(self.pending.len())
     }
 
-    /// Applies every pending update through the tree, replicating the
-    /// streaming degradation rule per update (a rebuild can trigger
-    /// mid-batch, resetting drift, exactly as a stream of
+    /// Applies every pending update through the tree, consulting the
+    /// [`RebuildPolicy`] after each one (a rebuild can trigger mid-batch,
+    /// resetting drift, exactly as a stream of
     /// `AdaptiveMaxErrSynopsis::update` calls would).
     ///
     /// # Errors
@@ -335,15 +327,8 @@ impl Column {
                 None => false,
                 Some(built) => {
                     built.drift_abs += delta.abs();
-                    match built.metric {
-                        ErrorMetric::Absolute => {
-                            built.guarantee()
-                                > self.tolerance * built.objective.max(f64::MIN_POSITIVE)
-                        }
-                        ErrorMetric::Relative { sanity } => {
-                            built.drift_abs > (self.tolerance - 1.0) * sanity.max(built.objective)
-                        }
-                    }
+                    self.policy
+                        .degraded(built.metric, built.objective, built.drift_abs)
                 }
             };
             if degraded {
@@ -828,7 +813,6 @@ pub enum AnyColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsyn_core::Pool;
 
     fn data() -> Vec<f64> {
         (0..32).map(|i| f64::from((i * 19 + 5) % 23)).collect()
@@ -891,9 +875,9 @@ mod tests {
 
     #[test]
     fn batched_updates_match_streaming_policy() {
-        // The column's drain must replicate AdaptiveMaxErrSynopsis
-        // exactly: same rebuild count, same final synopsis, same
-        // guarantee.
+        // Batching must not change what the shared rebuild policy sees:
+        // a drained column and a stream of AdaptiveMaxErrSynopsis updates
+        // reach the same rebuild count, final synopsis, and guarantee.
         let data = data();
         let (b, tolerance) = (5usize, 2.0f64);
         let metric = ErrorMetric::absolute();
@@ -942,12 +926,7 @@ mod tests {
         let reference = MinMaxErr::new(&data).unwrap();
         for b in (0..=16).rev() {
             let built = col.build(b, "rel:1.0", None, &Collector::noop()).unwrap();
-            let lib = reference.run_with_pool(
-                b,
-                ErrorMetric::relative(1.0),
-                wsyn_synopsis::one_dim::Config::default(),
-                &Pool::with_threads(1),
-            );
+            let lib = reference.run(b, ErrorMetric::relative(1.0));
             assert_eq!(built.objective.to_bits(), lib.objective.to_bits(), "b={b}");
             assert_eq!(
                 built.engine.as_wavelet().unwrap().synopsis().indices(),
@@ -1081,7 +1060,10 @@ mod tests {
     #[test]
     fn rejects_bad_construction() {
         assert!(Column::new(&[1.0, 2.0, 3.0], 2.0).is_err(), "non-pow2");
-        assert!(Column::new(&data(), 0.5).is_err(), "tolerance < 1");
+        assert_eq!(
+            Column::new(&data(), 0.5).unwrap_err(),
+            "tolerance must be >= 1, got 0.5"
+        );
         assert!(Column::new(&data(), f64::NAN).is_err());
     }
 

@@ -140,11 +140,34 @@ impl DynamicErrorTree {
         &self.coeffs
     }
 
+    /// Checks that `d_i += delta` is a valid point update: `i < N` and
+    /// a finite `delta`. The one validation rule every update path
+    /// applies before [`Self::update`] (the server's ingest queue and
+    /// [`AdaptiveMaxErrSynopsis::update`]).
+    ///
+    /// # Errors
+    /// [`WsynError::Invalid`] naming the out-of-range index or the
+    /// non-finite delta.
+    pub fn check_update(&self, i: usize, delta: f64) -> Result<(), WsynError> {
+        let n = self.n();
+        if i >= n {
+            return Err(WsynError::Invalid(format!(
+                "update index {i} out of range (N = {n})"
+            )));
+        }
+        if !delta.is_finite() {
+            return Err(WsynError::Invalid(format!(
+                "update delta at index {i} is not finite"
+            )));
+        }
+        Ok(())
+    }
+
     /// Applies `d_i += delta`, updating the `log N + 1` affected
     /// coefficients in place.
     ///
     /// # Panics
-    /// Panics when `i >= N`.
+    /// Panics when `i >= N` (see [`Self::check_update`]).
     pub fn update(&mut self, i: usize, delta: f64) {
         let n = self.n();
         assert!(i < n, "update index {i} out of range (N = {n})");
@@ -264,24 +287,72 @@ impl MaintainedGreedySynopsis {
     }
 }
 
-/// Rebuild policy for the deterministic maximum-error synopsis under
-/// updates.
+/// The drift-degradation rule: when has a built synopsis drifted far
+/// enough from the data that it must be rebuilt?
 ///
-/// Between rebuilds, the synopsis's guarantee is tracked conservatively:
+/// Between rebuilds, a synopsis's guarantee is tracked conservatively:
 /// an update `d_i += δ` can worsen any single value's absolute
 /// reconstruction error by at most `|δ|` (the data moved while the
 /// synopsis did not), so after a stream of updates the **absolute** error
 /// guarantee is `built_objective + Σ|δ|` (per-cell sums would be tighter;
-/// we track the global sum for O(1) bookkeeping and expose both knobs).
-/// When the conservative bound exceeds `tolerance × built_objective` (or
-/// the objective was 0 and any update arrives), the `MinMaxErr` DP is
-/// re-run on the maintained data.
+/// the global sum keeps the bookkeeping O(1)). This is the one copy of
+/// the rule: [`AdaptiveMaxErrSynopsis`] and the server's batched-update
+/// columns both call [`RebuildPolicy::degraded`].
+#[derive(Debug, Clone, Copy)]
+pub struct RebuildPolicy {
+    tolerance: f64,
+}
+
+impl RebuildPolicy {
+    /// A policy with rebuild factor `tolerance >= 1` (e.g. `2.0` =
+    /// rebuild when the guarantee may have doubled).
+    ///
+    /// # Errors
+    /// [`WsynError::Invalid`] when `tolerance < 1` or is NaN.
+    pub fn new(tolerance: f64) -> Result<Self, WsynError> {
+        if tolerance < 1.0 || tolerance.is_nan() {
+            return Err(WsynError::Invalid(format!(
+                "tolerance must be >= 1, got {tolerance}"
+            )));
+        }
+        Ok(Self { tolerance })
+    }
+
+    /// Whether a synopsis built at `built_objective` under `metric` has
+    /// degraded past the tolerance after accumulating `drift_abs = Σ|δ|`.
+    ///
+    /// * Absolute metric: the conservative guarantee
+    ///   `built_objective + drift_abs` exceeds `tolerance ×
+    ///   built_objective`, floored at `f64::MIN_POSITIVE` so a zero
+    ///   objective rebuilds on any drift above `tolerance ×
+    ///   f64::MIN_POSITIVE`.
+    /// * Relative metric: the denominator may also have shrunk, so a
+    ///   drifted relative guarantee is not cheaply boundable; drift
+    ///   beyond `(tolerance − 1) ×` the sanity/objective scale triggers.
+    #[must_use]
+    pub fn degraded(&self, metric: ErrorMetric, built_objective: f64, drift_abs: f64) -> bool {
+        match metric {
+            ErrorMetric::Absolute => {
+                built_objective + drift_abs
+                    > self.tolerance * built_objective.max(f64::MIN_POSITIVE)
+            }
+            ErrorMetric::Relative { sanity } => {
+                drift_abs > (self.tolerance - 1.0) * sanity.max(built_objective)
+            }
+        }
+    }
+}
+
+/// Rebuild policy for the deterministic maximum-error synopsis under
+/// updates: the guarantee is tracked as `built_objective + Σ|δ|`, and
+/// once [`RebuildPolicy::degraded`] says so the `MinMaxErr` DP is re-run
+/// on the maintained data.
 #[derive(Debug)]
 pub struct AdaptiveMaxErrSynopsis {
     tree: DynamicErrorTree,
     b: usize,
     metric: ErrorMetric,
-    tolerance: f64,
+    policy: RebuildPolicy,
     built_objective: f64,
     drift_abs: f64,
     rebuilds: u64,
@@ -302,16 +373,13 @@ pub struct AdaptiveMaxErrSynopsis {
 impl AdaptiveMaxErrSynopsis {
     /// Builds the synopsis and its rebuild policy.
     ///
-    /// `tolerance >= 1`: rebuild once the conservative guarantee exceeds
-    /// `tolerance × built_objective` (e.g. `2.0` = rebuild when the
-    /// guarantee may have doubled).
+    /// `tolerance >= 1` is the [`RebuildPolicy`] factor (e.g. `2.0` =
+    /// rebuild when the guarantee may have doubled).
     ///
     /// # Errors
     /// Describes the failure: an invalid domain
-    /// ([`WsynError::Transform`]) or the default thresholder's refusal.
-    ///
-    /// # Panics
-    /// Panics when `tolerance < 1`.
+    /// ([`WsynError::Transform`]), a tolerance below 1 or NaN
+    /// ([`WsynError::Invalid`]), or the default thresholder's refusal.
     pub fn new(
         data: &[f64],
         b: usize,
@@ -327,10 +395,8 @@ impl AdaptiveMaxErrSynopsis {
     /// scheme when rebuild latency matters more than tightness).
     ///
     /// # Errors
-    /// Propagates the factory's or the thresholder's refusal.
-    ///
-    /// # Panics
-    /// Panics when `tolerance < 1`.
+    /// A tolerance below 1 or NaN ([`WsynError::Invalid`]), or the
+    /// factory's or the thresholder's refusal.
     pub fn with_factory(
         tree: DynamicErrorTree,
         b: usize,
@@ -338,7 +404,7 @@ impl AdaptiveMaxErrSynopsis {
         tolerance: f64,
         factory: ThresholderFactory,
     ) -> Result<Self, WsynError> {
-        assert!(tolerance >= 1.0, "tolerance must be >= 1");
+        let policy = RebuildPolicy::new(tolerance)?;
         let mut scratch = SolverScratch::new();
         let run = factory(tree.data())?.threshold_reusing(b, metric, &mut scratch)?;
         let current = run.synopsis.into_one("the rebuild policy")?;
@@ -346,7 +412,7 @@ impl AdaptiveMaxErrSynopsis {
             tree,
             b,
             metric,
-            tolerance,
+            policy,
             built_objective: run.objective,
             drift_abs: 0.0,
             rebuilds: 0,
@@ -368,23 +434,17 @@ impl AdaptiveMaxErrSynopsis {
     /// tolerance. Returns `true` when a rebuild happened.
     ///
     /// # Errors
-    /// Propagates the factory's or the thresholder's refusal from a
+    /// An invalid update ([`DynamicErrorTree::check_update`]; nothing is
+    /// applied), or the factory's or the thresholder's refusal from a
     /// triggered rebuild.
     pub fn update(&mut self, i: usize, delta: f64) -> Result<bool, WsynError> {
+        self.tree.check_update(i, delta)?;
         self.tree.update(i, delta);
         self.drift_abs += delta.abs();
-        let degraded = match self.metric {
-            ErrorMetric::Absolute => {
-                self.guarantee() > self.tolerance * self.built_objective.max(f64::MIN_POSITIVE)
-            }
-            // For relative error the denominator may also have shrunk;
-            // a drifted relative guarantee is not cheaply boundable, so any
-            // accumulated drift beyond (tolerance-1)·s-equivalents triggers.
-            ErrorMetric::Relative { sanity } => {
-                self.drift_abs > (self.tolerance - 1.0) * sanity.max(self.built_objective)
-            }
-        };
-        if degraded {
+        if self
+            .policy
+            .degraded(self.metric, self.built_objective, self.drift_abs)
+        {
             self.rebuild()?;
             Ok(true)
         } else {
@@ -584,6 +644,105 @@ mod tests {
         }
         assert!(rebuild_seen, "tolerance 1.5 should trigger rebuilds");
         assert!(a.rebuilds() > 0);
+    }
+
+    /// The next representable `f64` above a positive finite `x`.
+    fn ulp_above(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+
+    #[test]
+    fn rebuild_policy_absolute_boundary() {
+        let policy = RebuildPolicy::new(2.0).unwrap();
+        let abs = ErrorMetric::absolute();
+        // Guarantee exactly tolerance × objective: not yet degraded.
+        assert!(!policy.degraded(abs, 1.0, 1.0));
+        // One ulp above: degraded.
+        let above = ulp_above(2.0);
+        let drift = above - 1.0;
+        assert_eq!((1.0 + drift).to_bits(), above.to_bits());
+        assert!(policy.degraded(abs, 1.0, drift));
+    }
+
+    #[test]
+    fn rebuild_policy_zero_objective_uses_min_positive_floor() {
+        let abs = ErrorMetric::absolute();
+        for tolerance in [1.0, 2.0] {
+            let policy = RebuildPolicy::new(tolerance).unwrap();
+            assert!(!policy.degraded(abs, 0.0, 0.0), "no drift, no rebuild");
+            assert!(policy.degraded(abs, 0.0, 1e-300), "tolerance {tolerance}");
+            // The floor itself: drift of exactly tolerance × MIN_POSITIVE
+            // is not above it, one ulp more is.
+            let floor = tolerance * f64::MIN_POSITIVE;
+            assert!(!policy.degraded(abs, 0.0, floor));
+            assert!(policy.degraded(abs, 0.0, ulp_above(floor)));
+        }
+    }
+
+    #[test]
+    fn rebuild_policy_relative_threshold_scales_with_sanity_or_objective() {
+        let policy = RebuildPolicy::new(2.0).unwrap();
+        let rel = ErrorMetric::relative(5.0);
+        // Objective below the sanity bound: the threshold is (2-1)·5.
+        assert!(!policy.degraded(rel, 0.5, 5.0));
+        assert!(policy.degraded(rel, 0.5, ulp_above(5.0)));
+        // Objective above the sanity bound: the threshold is (2-1)·10.
+        assert!(!policy.degraded(rel, 10.0, 6.0));
+        assert!(!policy.degraded(rel, 10.0, 10.0));
+        assert!(policy.degraded(rel, 10.0, ulp_above(10.0)));
+        // tolerance = 1 rebuilds on any positive drift.
+        let eager = RebuildPolicy::new(1.0).unwrap();
+        assert!(!eager.degraded(rel, 0.5, 0.0));
+        assert!(eager.degraded(rel, 0.5, f64::MIN_POSITIVE));
+    }
+
+    #[test]
+    fn bad_tolerance_is_an_error_not_a_panic() {
+        let data = [2.0, 2.0, 0.0, 2.0, 3.0, 5.0, 4.0, 4.0];
+        for tolerance in [0.5, f64::NAN] {
+            let err = RebuildPolicy::new(tolerance).unwrap_err();
+            assert!(matches!(err, WsynError::Invalid(_)), "{err:?}");
+            assert_eq!(
+                err.to_string(),
+                format!("tolerance must be >= 1, got {tolerance}")
+            );
+            let err = AdaptiveMaxErrSynopsis::new(&data, 3, ErrorMetric::absolute(), tolerance)
+                .unwrap_err();
+            assert!(matches!(err, WsynError::Invalid(_)), "{err:?}");
+            let tree = DynamicErrorTree::new(&data).unwrap();
+            let err = AdaptiveMaxErrSynopsis::with_factory(
+                tree,
+                3,
+                ErrorMetric::absolute(),
+                tolerance,
+                minmax_factory,
+            )
+            .unwrap_err();
+            assert!(matches!(err, WsynError::Invalid(_)), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn invalid_updates_are_refused_without_side_effects() {
+        let data = [2.0, 2.0, 0.0, 2.0, 3.0, 5.0, 4.0, 4.0];
+        let mut a = AdaptiveMaxErrSynopsis::new(&data, 3, ErrorMetric::absolute(), 2.0).unwrap();
+        a.update(1, 0.5).unwrap();
+        let (updates, guarantee) = (a.tree().updates(), a.guarantee());
+        let refused = [
+            (8usize, 1.0f64, "update index 8 out of range (N = 8)"),
+            (usize::MAX, 1.0, "out of range"),
+            (2, f64::NAN, "update delta at index 2 is not finite"),
+            (2, f64::INFINITY, "not finite"),
+            (2, f64::NEG_INFINITY, "not finite"),
+        ];
+        for (i, delta, msg) in refused {
+            let err = a.update(i, delta).unwrap_err();
+            assert!(matches!(err, WsynError::Invalid(_)), "{err:?}");
+            assert!(err.to_string().contains(msg), "{err}");
+            assert_eq!(a.tree().updates(), updates);
+            assert_eq!(a.guarantee().to_bits(), guarantee.to_bits());
+        }
+        assert_eq!(a.rebuilds(), 0);
     }
 
     #[test]

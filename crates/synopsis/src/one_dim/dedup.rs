@@ -50,7 +50,7 @@
 
 use std::sync::Arc;
 
-use wsyn_core::{is_zero, narrow_u32, pack_state_1d, DpStats, DpWorkspace, Pool, StateTable};
+use wsyn_core::{is_zero, narrow_u32, pack_state_1d, DpStats, DpWorkspace, StateTable};
 use wsyn_haar::ErrorTree1d;
 
 use super::{MetricTables, SplitSearch, ThresholdResult};
@@ -163,21 +163,6 @@ pub(super) fn run(
     prune: bool,
     ws: &mut DedupWorkspace,
 ) -> ThresholdResult {
-    run_inner(tree, tables, b, split, prune, ws, 0)
-}
-
-/// [`run`] with a starting leaf-evaluation count — the parallel path
-/// folds its shards' counters in so [`DpStats::leaf_evals`] covers the
-/// whole solve.
-fn run_inner(
-    tree: &ErrorTree1d,
-    tables: &Arc<MetricTables>,
-    b: usize,
-    split: SplitSearch,
-    prune: bool,
-    ws: &mut DedupWorkspace,
-    prior_leaf_evals: usize,
-) -> ThresholdResult {
     ws.ensure(tables, split);
     let (objective, retained, leaf_evals) = {
         let mut kernel = Kernel {
@@ -188,7 +173,7 @@ fn run_inner(
             split,
             prune,
             memo: ws.core.table_mut(),
-            leaf_evals: prior_leaf_evals,
+            leaf_evals: 0,
         };
         let objective = kernel.solve(b);
         let mut retained = Vec::new();
@@ -210,158 +195,6 @@ fn run_inner(
         objective,
         stats,
     }
-}
-
-/// Smallest domain the parallel path decomposes; below this the shard
-/// subtrees are trivial and [`run_parallel`] falls through to [`run`].
-/// Deliberately small so tests exercise the parallel path at proptest
-/// sizes — the pool's own min-work floor handles spawn economics.
-pub(super) const PARALLEL_MIN_N: usize = 16;
-
-/// Depth of the shard frontier: level 2 has four sibling subtrees, and
-/// with up to eight speculative incoming-error values per subtree the
-/// shard queue holds ≤ 32 entries — enough slack for the chunk queue to
-/// balance across any realistic thread count.
-const FRONTIER_LEVEL: u32 = 2;
-
-/// One independent unit of the parallel decomposition: solve subtree
-/// `c_id` under incoming error `e` for every budget `0..=bcap`.
-struct Shard {
-    id: u32,
-    e: f64,
-    bcap: usize,
-}
-
-/// The instance-determined shard list: for each frontier node, the
-/// superset of incoming-error values any top-part exploration can send
-/// it, in a fixed enumeration order.
-///
-/// The `e` values are produced by folding keep/drop decisions over the
-/// node's ancestors **top-down with the kernel's own arithmetic** (`e`
-/// on keep; `e + c` towards a left child or below the root, `e - c`
-/// towards a right child on drop), so every value is bit-equal to the
-/// `e` the sequential kernel would compute for the same decisions, and
-/// hash-consing on the bit pattern matches exactly. Enumerating both
-/// branches even where the kernel could not keep (zero coefficient,
-/// exhausted budget) yields a superset — harmlessly speculative, never
-/// wrong, and *independent of the thread count*, which is what makes
-/// the decomposition deterministic.
-fn enumerate_shards(tree: &ErrorTree1d, b: usize) -> Vec<Shard> {
-    let n = tree.n();
-    let lo = 1usize << FRONTIER_LEVEL;
-    let width = n >> FRONTIER_LEVEL;
-    // Budgets beyond the subtree's coefficient count saturate; the top
-    // part warm-solves the rare larger-budget probe against the shard's
-    // memoized descendants.
-    let bcap = b.min(width);
-    let mut shards = Vec::new();
-    for j in lo..2 * lo {
-        // Ancestors of c_j, root first, with the child towards c_j.
-        let chain = [0usize, 1, j / 2];
-        let mut es = vec![0.0f64];
-        let mut next = Vec::with_capacity(8);
-        for (idx, &a) in chain.iter().enumerate() {
-            let c = tree.coeff(a);
-            let child = chain.get(idx + 1).copied().unwrap_or(j);
-            next.clear();
-            for &e in &es {
-                next.push(e); // ancestor kept
-                              // Root sends e + c to its single child; otherwise the
-                              // sign follows which child the path descends into.
-                if a == 0 || child % 2 == 0 {
-                    next.push(e + c);
-                } else {
-                    next.push(e - c);
-                }
-            }
-            // Dedup on the bit pattern, keeping first occurrence — the
-            // same hash-consing the memo key uses.
-            es.clear();
-            for &v in &next {
-                if !es.iter().any(|x| x.to_bits() == v.to_bits()) {
-                    es.push(v);
-                }
-            }
-        }
-        for e in es {
-            shards.push(Shard {
-                id: narrow_u32(j),
-                e,
-                bcap,
-            });
-        }
-    }
-    shards
-}
-
-/// The pool-parallel counterpart of [`run`]: identical objective and
-/// retained set, bit for bit, at every thread count.
-///
-/// Three phases:
-///
-/// 1. **Shard solves** (parallel): the instance-determined shard list
-///    from [`enumerate_shards`] is mapped through the pool; each shard
-///    runs the ordinary kernel in a private memo. Shard outcomes depend
-///    only on `(instance, shard)` — never on which thread ran them or
-///    how many threads exist.
-/// 2. **Deterministic merge** (sequential): shard memos are folded into
-///    the caller's workspace in shard-list order. Every kernel entry is
-///    a pure function of its state (the losslessness invariant in the
-///    module docs), so entries from different shards can never
-///    conflict; already-present keys (a warm workspace) are kept.
-/// 3. **Top finish** (sequential): the ordinary kernel solves from the
-///    root against the merged memo. At the frontier it sees memo hits;
-///    the trace replays decisions straight through the shard entries,
-///    emitting the identical preorder retained set.
-///
-/// Compared with the sequential [`run`], the shard phase speculates on
-/// incoming-error values and budgets the top part may never probe, so
-/// `DpStats` (`states`, `leaf_evals`, …) legitimately *differ* from a
-/// plain sequential solve — but they are identical across thread counts
-/// (including one), which is the contract the conformance harness's
-/// `parallel-identity` family and the report byte-identity CI job rely
-/// on. The decomposition itself never consults the pool size.
-pub(super) fn run_parallel(
-    tree: &ErrorTree1d,
-    tables: &Arc<MetricTables>,
-    b: usize,
-    split: SplitSearch,
-    prune: bool,
-    ws: &mut DedupWorkspace,
-    pool: &Pool,
-) -> ThresholdResult {
-    let n = tree.n();
-    if n < PARALLEL_MIN_N {
-        return run(tree, tables, b, split, prune, ws);
-    }
-    ws.ensure(tables, split);
-    let shards = enumerate_shards(tree, b);
-    let solved = pool.map_indexed(shards, |_, shard| {
-        let mut table = StateTable::new();
-        let mut kernel = Kernel {
-            tree,
-            denom: &tables.denom,
-            bound: &tables.bound,
-            n,
-            split,
-            prune,
-            memo: &mut table,
-            leaf_evals: 0,
-        };
-        kernel.solve_shard(&shard);
-        let leaf_evals = kernel.leaf_evals;
-        (table, leaf_evals)
-    });
-    let mut shard_leaf_evals = 0usize;
-    for (table, leaf_evals) in solved {
-        shard_leaf_evals += leaf_evals;
-        for (key, entry) in table.iter() {
-            if ws.core.table().get(key).is_none() {
-                ws.core.table_mut().insert(key, *entry);
-            }
-        }
-    }
-    run_inner(tree, tables, b, split, prune, ws, shard_leaf_evals)
 }
 
 #[inline]
@@ -636,22 +469,16 @@ impl Kernel<'_> {
     }
 
     /// Minimum possible maximum error for the whole domain with budget
-    /// `b` — the explicit-stack driver rooted at the tree root.
-    fn solve(&mut self, b: usize) -> f64 {
-        self.solve_state(Frame {
-            id: 0,
-            b: narrow_u32(b),
-            e: 0.0,
-        })
-    }
-
-    /// The explicit-stack driver for an arbitrary root state — the
-    /// whole-domain solve starts at `(c_0, b, 0)`; the parallel path
-    /// roots one driver per frontier shard `(c_j, b', e)`. The stack
+    /// `b` — the explicit-stack driver rooted at `(c_0, b, 0)`. The stack
     /// always holds a root-to-descendant dependency chain (node ids
     /// strictly increase downward), so its depth is bounded by the tree
     /// height.
-    fn solve_state(&mut self, root: Frame) -> f64 {
+    fn solve(&mut self, b: usize) -> f64 {
+        let root = Frame {
+            id: 0,
+            b: narrow_u32(b),
+            e: 0.0,
+        };
         let root_key = pack_state_1d(root.id, root.b, root.e.to_bits());
         if self.memo.get(root_key).is_none() {
             let mut stack = vec![root];
@@ -677,19 +504,6 @@ impl Kernel<'_> {
             // wsyn: allow(no-panic)
             .expect("solve loop memoizes the root state")
             .value
-    }
-
-    /// Solves one frontier shard: every budget `bcap..=0` (descending,
-    /// so each later budget is nearly free against the warm shard memo)
-    /// for the shard's `(node, incoming-error)` pair.
-    fn solve_shard(&mut self, shard: &Shard) {
-        for bp in (0..=shard.bcap).rev() {
-            self.solve_state(Frame {
-                id: shard.id,
-                b: narrow_u32(bp),
-                e: shard.e,
-            });
-        }
     }
 
     /// Re-walks the memoized decisions to emit the retained coefficient

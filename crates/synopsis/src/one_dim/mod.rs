@@ -54,7 +54,6 @@ pub use dedup::DedupWorkspace;
 
 use std::sync::{Arc, Mutex};
 
-use wsyn_core::Pool;
 use wsyn_haar::{ErrorTree1d, HaarError};
 
 use crate::metric::ErrorMetric;
@@ -340,79 +339,6 @@ impl MinMaxErr {
     ) -> ThresholdResult {
         let tables = self.tables(metric);
         let result = dedup::run(&self.tree, &tables, b, split, true, ws);
-        self.certify(&result, b, metric);
-        result
-    }
-
-    /// Runs the DP through the deterministic thread pool with default
-    /// configuration — identical objective and retained set to
-    /// [`MinMaxErr::run`], bit for bit, at every thread count (the pool
-    /// decomposition never consults the pool size; see
-    /// `one_dim/dedup.rs`'s `run_parallel`). A one-thread pool skips the
-    /// decomposition entirely and runs the plain sequential kernel — the
-    /// shard solves speculate over every frontier `(budget, error)` pair
-    /// and cost ~2.5× the sequential work, which is pure overhead with
-    /// nobody to run it concurrently. Consequently `DpStats` equal the
-    /// sequential kernel's at one thread and describe the decomposed
-    /// solve at two or more (where they are thread-count-invariant).
-    pub fn run_parallel(&self, b: usize, metric: ErrorMetric, pool: &Pool) -> ThresholdResult {
-        self.run_with_pool(b, metric, Config::default(), pool)
-    }
-
-    /// [`MinMaxErr::run_with`] routed through the pool. The dedup
-    /// engines decompose into frontier shards; `SubsetMask` and
-    /// `BottomUp` have no parallel decomposition (their shared-row
-    /// layouts serialize) and run sequentially — every configuration
-    /// remains an exact twin of every other, pooled or not. A
-    /// one-thread pool (the policy resolving to one thread, or an
-    /// explicit [`Pool::with_threads`]`(1)`) falls back to the
-    /// sequential [`MinMaxErr::run_with`] for every engine — see
-    /// [`MinMaxErr::run_parallel`].
-    pub fn run_with_pool(
-        &self,
-        b: usize,
-        metric: ErrorMetric,
-        config: Config,
-        pool: &Pool,
-    ) -> ThresholdResult {
-        if pool.threads() == 1 {
-            return self.run_with(b, metric, config);
-        }
-        match config.engine {
-            Engine::Dedup | Engine::DedupExhaustive => {
-                let tables = self.tables(metric);
-                let mut ws = DedupWorkspace::new();
-                let prune = matches!(config.engine, Engine::Dedup);
-                let result =
-                    dedup::run_parallel(&self.tree, &tables, b, config.split, prune, &mut ws, pool);
-                self.certify(&result, b, metric);
-                result
-            }
-            Engine::SubsetMask | Engine::BottomUp => self.run_with(b, metric, config),
-        }
-    }
-
-    /// [`MinMaxErr::run_warm`] routed through the pool: shard results
-    /// merge into `ws`, so a pooled B-sweep reuses the memo exactly like
-    /// a sequential one (warm entries are kept; shard entries for states
-    /// already present are discarded — they are bit-identical by the
-    /// kernel's losslessness invariant). A one-thread pool falls back to
-    /// the sequential [`MinMaxErr::run_warm`] — the shard speculation is
-    /// pure overhead without concurrency; see
-    /// [`MinMaxErr::run_parallel`].
-    pub fn run_warm_parallel(
-        &self,
-        b: usize,
-        metric: ErrorMetric,
-        split: SplitSearch,
-        ws: &mut DedupWorkspace,
-        pool: &Pool,
-    ) -> ThresholdResult {
-        if pool.threads() == 1 {
-            return self.run_warm(b, metric, split, ws);
-        }
-        let tables = self.tables(metric);
-        let result = dedup::run_parallel(&self.tree, &tables, b, split, true, ws, pool);
         self.certify(&result, b, metric);
         result
     }

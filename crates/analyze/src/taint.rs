@@ -673,7 +673,7 @@ mod tests {
         assert!(in_taint_scope("crates/stream/src/lib.rs"));
         assert!(in_taint_scope("crates/obs/src/lib.rs"));
         assert!(!in_taint_scope("crates/cli/src/main.rs"));
-        assert!(!in_taint_scope("crates/bench/benches/parallel.rs"));
+        assert!(!in_taint_scope("crates/core/benches/b.rs"));
         assert!(!in_taint_scope("crates/core/tests/t.rs"));
         assert!(!in_taint_scope("vendor/rand/src/lib.rs"));
         assert!(!in_taint_scope("src/lib.rs"));

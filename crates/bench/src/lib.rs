@@ -2,9 +2,9 @@
 //!
 //! One binary per experiment of DESIGN.md's per-experiment index
 //! (`exp_e1` … `exp_e16`), each printing the markdown tables recorded in
-//! `EXPERIMENTS.md`, plus Criterion micro-benchmarks (`benches/`). The
-//! repository's end-to-end, per-layer benchmark is not here: it is the
-//! `ledger` package under `ledger/` (see `ledger/BENCHMARK.md`).
+//! `EXPERIMENTS.md`. The repository's end-to-end, per-layer benchmark is
+//! not here: it is the `ledger` package under `ledger/` (see
+//! `ledger/BENCHMARK.md`).
 //!
 //! The PODS 2004 paper contains no empirical section (its §5 defers the
 //! experimental study), so these experiments (a) mechanically verify every

@@ -602,8 +602,7 @@ impl<V, R> DpWorkspace<V, R> {
 /// go through [`pool::configured_threads`] / [`Pool`], which layer the
 /// `WSYN_POOL_THREADS` override and the min-work floor on top so every
 /// layer agrees (single-core hosts skip thread-spawn overhead entirely
-/// — the measured parallel path there is a slowdown, BENCH_dp_core.json:
-/// 0.99×).
+/// — the parallel τ-sweep measured 0.99× on a single-CPU host).
 #[must_use]
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)

@@ -306,6 +306,18 @@ mod tests {
     }
 
     #[test]
+    fn plateaus_with_at_most_b_segments_fit_exactly() {
+        // The family race's shape claim: a step signal with no more
+        // segments than buckets is represented with zero error.
+        let d = wsyn_datagen::piecewise_constant(1024, 8, (1.0, 600.0), 0.0, 23);
+        for b in [8, 32] {
+            let run = solve(&d, None, b, SplitStrategy::Binary).unwrap();
+            assert_eq!(run.objective, 0.0, "b={b}");
+            assert_eq!(run.synopsis.reconstruct(), d, "b={b}");
+        }
+    }
+
+    #[test]
     fn objective_is_the_achieved_error_on_integer_data() {
         // Absolute metric, integer data: midpoints and half-ranges are
         // dyadic-exact, so the guarantee is an equality, bit for bit.

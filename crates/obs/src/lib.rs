@@ -29,9 +29,8 @@
 //!
 //! [`Collector::noop`] (also [`Collector::default`]) holds no recorder:
 //! every operation is a branch on a `None` and allocates nothing, so
-//! instrumented solvers pay nothing when nobody is watching. The
-//! `dp_kernel` bench asserts this (no-op parity with the uninstrumented
-//! baseline, ≤5% overhead with collection enabled).
+//! instrumented solvers pay nothing when nobody is watching;
+//! `tests/noop_alloc.rs` asserts the no-op path never allocates.
 //!
 //! ## Parallel collection
 //!

@@ -189,8 +189,8 @@ impl OnePlusEps {
     }
 
     /// Sequential reference sweep: same results as
-    /// [`Self::run_with_reports`], one τ at a time. Kept for determinism
-    /// tests and single-thread baselines in benchmarks.
+    /// [`Self::run_with_reports`], one τ at a time. Kept as the reference
+    /// the determinism tests compare the pooled sweep against.
     ///
     /// # Panics
     /// Panics when `epsilon` is not strictly positive.

@@ -9,7 +9,7 @@
 //! `path(u)` as the non-zero ancestors.
 //!
 //! This engine exists to validate the default incoming-error engine and to
-//! quantify (in benches) how much state deduplication saves; it enumerates
+//! quantify (in E5's ablation) how much state deduplication saves; it enumerates
 //! `O(2^depth)` subsets per node, i.e. the full `O(N² B)` table.
 
 use wsyn_core::{is_zero, narrow_u32, pack_state_1d, StateTable};

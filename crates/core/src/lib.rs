@@ -43,9 +43,15 @@ pub use pool::Pool;
 /// Unified statistics block reported by every DP solver in the workspace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DpStats {
-    /// Distinct `(node, budget, error)` states materialized.
+    /// Distinct `(node, budget, error)` states materialized. The 1-D
+    /// `Dedup` kernel memoizes only nodes at height ≥ 3 of the error
+    /// tree (and the root); the streaming builder counts table cells.
     pub states: usize,
-    /// Leaf-error evaluations (`|e| / denom`).
+    /// Evaluations done without the memo, each computing leaf errors
+    /// `|e| / denom` directly. Most solvers count one per leaf. The 1-D
+    /// `Dedup` kernel and the streaming builder count one per
+    /// closed-form evaluation of a subtree of height ≤ 2 (a height-2 or
+    /// height-1 node, or a lone leaf), whatever its leaf count.
     pub leaf_evals: usize,
     /// Memo-table probe displacement — slots between each resident
     /// entry's hashed home slot and where it lives. `0` means every

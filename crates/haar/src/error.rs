@@ -29,6 +29,11 @@ pub enum HaarError {
     Overflow,
     /// Zero dimensions were supplied.
     ZeroDimensional,
+    /// A data value was `NaN` or infinite.
+    NonFinite {
+        /// Position of the first non-finite value.
+        index: usize,
+    },
 }
 
 impl fmt::Display for HaarError {
@@ -49,6 +54,9 @@ impl fmt::Display for HaarError {
                 write!(f, "integer overflow in scaled Haar transform")
             }
             HaarError::ZeroDimensional => write!(f, "zero dimensions supplied"),
+            HaarError::NonFinite { index } => {
+                write!(f, "data must be finite (index {index})")
+            }
         }
     }
 }

@@ -74,8 +74,13 @@ impl ErrorTree1d {
     /// Builds the error tree for a data vector (computes the transform).
     ///
     /// # Errors
-    /// Propagates [`HaarError`] for empty / non-power-of-two input.
+    /// Propagates [`HaarError`] for empty / non-power-of-two input, and
+    /// [`HaarError::NonFinite`] for a `NaN` or infinite value (the
+    /// solvers' arithmetic assumes finite data).
     pub fn from_data(data: &[f64]) -> Result<Self, HaarError> {
+        if let Some(index) = data.iter().position(|v| !v.is_finite()) {
+            return Err(HaarError::NonFinite { index });
+        }
         Self::from_coeffs(transform::forward(data)?)
     }
 

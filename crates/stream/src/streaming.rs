@@ -26,7 +26,9 @@
 //!   to the child's grid. Height-1 subtrees (a single detail coefficient
 //!   over two leaves) are never materialized — their optimal value has a
 //!   closed form evaluated with the **exact** incoming error, which
-//!   removes two rounding levels from the drift bound.
+//!   removes two rounding levels from the drift bound. The height-1 and
+//!   height-2 closed forms are the offline kernel's own
+//!   ([`wsyn_synopsis::one_dim::closed_form`], unit denominators).
 //! * **Grid radius and step.** With a caller-supplied scale `S ≥` (the
 //!   offline optimum; any upper bound such as `max |d_i|` works), step
 //!   `δ = ε·S / max(m - 1, 1)` and radius `Q = ⌈(1 + ε)·max(m - 1, 1) /
@@ -56,24 +58,8 @@
 use wsyn_core::{is_zero, narrow_u32, DpStats, RowArena, RowId, WsynError};
 use wsyn_haar::{is_pow2, log2_exact};
 use wsyn_obs::Collector;
+use wsyn_synopsis::one_dim::closed_form::{Height1, Height2, Height2At};
 use wsyn_synopsis::{AnySynopsis, ErrorMetric, RunParams, Synopsis1d, ThresholdRun, Thresholder};
-
-/// Optimal value of a height-1 subtree (one detail coefficient `c` over
-/// two leaves) with `b` budget and exact incoming error `e`: keeping `c`
-/// leaves both leaf errors at `|e|`; dropping costs `max(|e+c|, |e-c|) =
-/// |e| + |c|`. Keeping never loses, so the node keeps whenever it can.
-fn vnode_value(c: f64, b: usize, e: f64) -> f64 {
-    if vnode_keeps(c, b) {
-        e.abs()
-    } else {
-        e.abs() + c.abs()
-    }
-}
-
-/// Whether the height-1 closed form retains its coefficient.
-fn vnode_keeps(c: f64, b: usize) -> bool {
-    b >= 1 && !is_zero(c)
-}
 
 /// A completed subtree's DP table over `(budget, quantized error)`.
 ///
@@ -215,7 +201,8 @@ pub struct StreamRun {
     /// value to make `objective` a sound upper bound.
     pub drift: f64,
     /// Unified DP instrumentation (`states` = table cells materialized,
-    /// `leaf_evals` = closed-form height-1 evaluations, `peak_live` =
+    /// `leaf_evals` = closed-form evaluations — one per grid error of
+    /// each height-2 base table, two at an `N = 2` root — `peak_live` =
     /// peak live cells).
     pub stats: DpStats,
     /// Peak number of simultaneously live DP cells across the pass.
@@ -537,9 +524,9 @@ impl StreamingMaxErr {
         }
     }
 
-    /// Materializes the DP table of a height-2 subtree from its two
-    /// height-1 children's closed forms. Children are evaluated with the
-    /// **exact** grid error (and `e ± c` for drops) — no rounding is
+    /// Materializes the DP table of a height-2 subtree from the shared
+    /// [`Height2`] closed form, evaluated once per **exact** grid error
+    /// (children see `e ± c` exactly on a drop) — no rounding is
     /// introduced at this level.
     fn build_base_table(
         &mut self,
@@ -551,62 +538,35 @@ impl StreamingMaxErr {
         self.obs.add("stream_tables", 1);
         let (jl, cl) = left;
         let (jr, cr) = right;
+        let node = Height2 {
+            c,
+            left: Height1::unit(cl),
+            right: Height1::unit(cr),
+        };
         let b_cap = self.budget.min(3);
         let grid = 2 * self.q_radius + 1;
+        // The leaf terms depend on the grid error only, not the budget.
+        let at: Vec<Height2At> = (0..grid)
+            .map(|qi| node.at((qi as f64 - self.q_radius as f64) * self.delta))
+            .collect();
+        self.stats.leaf_evals += grid;
         let mut table = self.take_table(b_cap);
         for b in 0..=b_cap {
             let mut values = Vec::with_capacity(grid);
             let mut choices = Vec::with_capacity(grid);
-            for qi in 0..grid {
-                let e = (qi as f64 - self.q_radius as f64) * self.delta;
-                self.stats.leaf_evals += 2 * (b + 1) + 2 * b.max(1);
-                // Keep: both children see `e`; one budget unit is spent
-                // on `c`, the rest splits leftmost-first.
-                let can_keep = b >= 1 && !is_zero(c);
-                let mut keep_val = f64::INFINITY;
-                let mut keep_la = 0usize;
-                if can_keep {
-                    for la in 0..b {
-                        let v = vnode_value(cl, la, e).max(vnode_value(cr, b - 1 - la, e));
-                        if v < keep_val {
-                            keep_val = v;
-                            keep_la = la;
-                        }
-                    }
-                }
-                // Drop: left child sees `e + c`, right sees `e - c`,
-                // both exact.
-                let mut drop_val = f64::INFINITY;
-                let mut drop_la = 0usize;
-                for la in 0..=b {
-                    let v = vnode_value(cl, la, e + c).max(vnode_value(cr, b - la, e - c));
-                    if v < drop_val {
-                        drop_val = v;
-                        drop_la = la;
-                    }
-                }
-                let keep = can_keep && keep_val <= drop_val;
+            for cell in &at {
+                let (choice, kept) = cell.kept(b);
                 let begin = table.begin_set();
-                let value = if keep {
-                    table.push_entry(narrow_u32(j), c);
-                    if vnode_keeps(cl, keep_la) {
-                        table.push_entry(jl, cl);
+                for ((ji, ci), keep) in [(narrow_u32(j), c), (jl, cl), (jr, cr)]
+                    .into_iter()
+                    .zip(kept)
+                {
+                    if keep {
+                        table.push_entry(ji, ci);
                     }
-                    if vnode_keeps(cr, b - 1 - keep_la) {
-                        table.push_entry(jr, cr);
-                    }
-                    keep_val
-                } else {
-                    if vnode_keeps(cl, drop_la) {
-                        table.push_entry(jl, cl);
-                    }
-                    if vnode_keeps(cr, b - drop_la) {
-                        table.push_entry(jr, cr);
-                    }
-                    drop_val
-                };
+                }
                 choices.push(table.seal_set(begin));
-                values.push(value);
+                values.push(choice.value);
             }
             let row = table.arena.alloc(values, choices);
             table.rows.push(row);
@@ -726,24 +686,28 @@ impl StreamingMaxErr {
             }
             Repr::VNode { j, c } => {
                 // N = 2: both options evaluate exactly.
-                let keep_val = if can_keep {
-                    vnode_value(c, b - 1, 0.0)
+                let node = Height1::unit(c);
+                let keep = if can_keep {
+                    Some(node.solve(b - 1, 0.0))
                 } else {
-                    f64::INFINITY
+                    None
                 };
-                let drop_val = vnode_value(c, b, c0);
+                let drop = node.solve(b, c0);
                 self.stats.leaf_evals += 2;
-                if can_keep && keep_val <= drop_val {
-                    entries.push((0, c0));
-                    if vnode_keeps(c, b - 1) {
-                        entries.push((j as usize, c));
+                match keep {
+                    Some(k) if k.value <= drop.value => {
+                        entries.push((0, c0));
+                        if k.keep {
+                            entries.push((j as usize, c));
+                        }
+                        k.value
                     }
-                    keep_val
-                } else {
-                    if vnode_keeps(c, b) {
-                        entries.push((j as usize, c));
+                    _ => {
+                        if drop.keep {
+                            entries.push((j as usize, c));
+                        }
+                        drop.value
                     }
-                    drop_val
                 }
             }
             Repr::Table(t) => {

@@ -31,6 +31,20 @@
 //! `DedupExhaustive` variant runs this same kernel unpruned for ablation
 //! and the lossless-ness assertions.
 //!
+//! **Inline bottom levels.** Only the root and the nodes at height ≥ 3
+//! of the error tree are memoized. A child at slot `id >= n / 4` roots a
+//! subtree of height ≤ 2 (or is the lone leaf when `N = 1`), and
+//! [`super::closed_form`] evaluates it inline. On the ledger's
+//! `build-1d` instances such states would be 79–85 % of the memo, each a
+//! hash probe for a value a few flops compute. The closed forms apply
+//! the same keep-on-tie and leftmost-split rules to the same `f64`
+//! expressions, so they return exactly the entries the memo would hold,
+//! under either split search, pruned or not; `trace` replays them with
+//! [`super::closed_form::Height2At::kept`]. `StreamingMaxErr` builds its
+//! height-2 tables from the same code. Height 3 stays memoized: inlining
+//! it re-solves whole subtrees per split probe and measured slower
+//! (DESIGN.md §9).
+//!
 //! **Iterative kernel.** `solve` runs on an explicit frame stack instead
 //! of recursion: a frame's evaluation either completes from memoized
 //! children (insert + pop) or reports the first missing child, which is
@@ -53,6 +67,7 @@ use std::sync::Arc;
 use wsyn_core::{is_zero, narrow_u32, pack_state_1d, DpStats, DpWorkspace, StateTable};
 use wsyn_haar::ErrorTree1d;
 
+use super::closed_form::{vmax, Height1, Height2};
 use super::{MetricTables, SplitSearch, ThresholdResult};
 use crate::synopsis::Synopsis1d;
 
@@ -181,8 +196,9 @@ pub(super) fn run(
         (objective, retained, kernel.leaf_evals)
     };
     let stats = DpStats {
-        // Resident entries — for a warm workspace this accumulates over
-        // the runs sharing the memo (the sweep's working set).
+        // Resident entries (height ≥ 3 and the root) — for a warm
+        // workspace this accumulates over the runs sharing the memo (the
+        // sweep's working set).
         states: ws.core.table().len(),
         leaf_evals,
         probes: ws.core.table().probes(),
@@ -197,15 +213,6 @@ pub(super) fn run(
     }
 }
 
-#[inline]
-fn vmax(a: f64, b: f64) -> f64 {
-    if a >= b {
-        a
-    } else {
-        b
-    }
-}
-
 struct Kernel<'a> {
     tree: &'a ErrorTree1d,
     /// Per-leaf error denominator (`max{|d_i|, s}` or 1).
@@ -216,6 +223,8 @@ struct Kernel<'a> {
     split: SplitSearch,
     prune: bool,
     memo: &'a mut StateTable<Entry>,
+    /// Inline closed-form evaluations of height ≤ 2 subtrees
+    /// ([`DpStats::leaf_evals`]).
     leaf_evals: usize,
 }
 
@@ -229,18 +238,16 @@ impl Kernel<'_> {
         e.abs() / self.bound[id]
     }
 
-    /// Value of the child subproblem `(id, b, e)`: leaves are computed
-    /// inline (they are never memoized), memoized internal nodes are a
-    /// table hit, and a missing internal node is reported as the frame
-    /// to solve first.
+    /// Value of the child subproblem `(id, b, e)`: subtrees of height
+    /// at most 2 (slots `id >= n / 4`) are evaluated inline in closed
+    /// form and never memoized, memoized higher nodes are a table hit,
+    /// and a missing higher node is reported as the frame to solve
+    /// first.
     #[inline]
     fn child_value(&mut self, id: usize, b: usize, e: f64) -> Result<f64, Frame> {
-        if id >= self.n {
-            // Leaf: spare budget is wasted, never harmful, so the value
-            // is independent of `b` (keeps the table monotone in the
-            // budget).
+        if id >= self.n / 4 {
             self.leaf_evals += 1;
-            return Ok(e.abs() / self.denom[id - self.n]);
+            return Ok(self.bottom_value(id, b, e));
         }
         let fr = Frame {
             id: narrow_u32(id),
@@ -250,6 +257,42 @@ impl Kernel<'_> {
         match self.memo.get(pack_state_1d(fr.id, fr.b, e.to_bits())) {
             Some(entry) => Ok(entry.value),
             None => Err(fr),
+        }
+    }
+
+    /// The height-1 node at combined slot `id` (`n / 2 <= id < n`).
+    #[inline]
+    fn height1(&self, id: usize) -> Height1 {
+        let leaf = 2 * id - self.n;
+        Height1 {
+            c: self.tree.coeff(id),
+            dl: self.denom[leaf],
+            dr: self.denom[leaf + 1],
+        }
+    }
+
+    /// The height-2 node at combined slot `id` (`n / 4 <= id < n / 2`).
+    #[inline]
+    fn height2(&self, id: usize) -> Height2 {
+        Height2 {
+            c: self.tree.coeff(id),
+            left: self.height1(2 * id),
+            right: self.height1(2 * id + 1),
+        }
+    }
+
+    /// Closed-form value of the subtree at slot `id >= n / 4`: a leaf
+    /// (only the root's child when `N = 1`; spare budget is wasted,
+    /// never harmful, so its value ignores `b`), or a height-1 or
+    /// height-2 node ([`super::closed_form`]).
+    #[inline]
+    fn bottom_value(&self, id: usize, b: usize, e: f64) -> f64 {
+        if id >= self.n {
+            e.abs() / self.denom[id - self.n]
+        } else if id >= self.n / 2 {
+            self.height1(id).solve(b, e).value
+        } else {
+            self.height2(id).solve(b, e).value
         }
     }
 
@@ -517,11 +560,13 @@ impl Kernel<'_> {
         }];
         while let Some(fr) = stack.pop() {
             let id = fr.id as usize;
-            if id >= self.n {
-                continue;
-            }
             let b = fr.b as usize;
             let e = fr.e;
+            // The root is memoized even when `N < 4` makes `n / 4` zero.
+            if id != 0 && id >= self.n / 4 {
+                self.trace_bottom(id, b, e, out);
+                continue;
+            }
             let entry = *self
                 .memo
                 .get(pack_state_1d(fr.id, fr.b, e.to_bits()))
@@ -576,6 +621,27 @@ impl Kernel<'_> {
                     b: entry.left_allot,
                     e: e + c,
                 });
+            }
+        }
+    }
+
+    /// Emits the retained coefficients of the closed-form subtree at
+    /// slot `id >= n / 4` in preorder, replaying the decision
+    /// [`Kernel::bottom_value`] made for `(id, b, e)`.
+    fn trace_bottom(&self, id: usize, b: usize, e: f64, out: &mut Vec<usize>) {
+        if id >= self.n {
+            return;
+        }
+        if id >= self.n / 2 {
+            if self.height1(id).solve(b, e).keep {
+                out.push(id);
+            }
+            return;
+        }
+        let (_, kept) = self.height2(id).at(e).kept(b);
+        for (slot, keep) in [id, 2 * id, 2 * id + 1].into_iter().zip(kept) {
+            if keep {
+                out.push(slot);
             }
         }
     }

@@ -47,6 +47,7 @@
 //! secondary quality (RMSE, individual query answers).
 
 mod bottom_up;
+pub mod closed_form;
 mod dedup;
 mod subset;
 
@@ -256,8 +257,9 @@ impl MinMaxErr {
     /// Builds the solver from raw data (computes the wavelet transform).
     ///
     /// # Errors
-    /// [`HaarError`] when `data` is empty or its length is not a power of
-    /// two.
+    /// [`HaarError`] when `data` is empty, its length is not a power of
+    /// two, or it holds a `NaN` or infinite value
+    /// ([`HaarError::NonFinite`]).
     pub fn new(data: &[f64]) -> Result<Self, HaarError> {
         Ok(Self {
             tree: ErrorTree1d::from_data(data)?,
@@ -610,6 +612,67 @@ mod tests {
                     .map(|_| f64::from(rng.gen_range(-20i32..=20)))
                     .collect();
                 certify(&data);
+            }
+        }
+    }
+
+    /// Every `Config::ALL` twin returns bit-identical objectives and
+    /// retained sets at the sizes where the root's child is itself a
+    /// closed-form subtree (N ≤ 4) and one level above (N = 8), for
+    /// every budget up to `N + 1` and both metrics; the objective also
+    /// matches the exhaustive oracle.
+    #[test]
+    fn config_twins_agree_at_closed_form_sizes() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(16);
+        for n in [1usize, 2, 4, 8] {
+            for round in 0..40 {
+                // Small integers make zero coefficients and exact ties
+                // common; round 0 is all-zero data.
+                let data: Vec<f64> = (0..n)
+                    .map(|_| {
+                        if round == 0 {
+                            0.0
+                        } else {
+                            f64::from(rng.gen_range(-3i32..=3))
+                        }
+                    })
+                    .collect();
+                let solver = MinMaxErr::new(&data).unwrap();
+                for metric in [ErrorMetric::absolute(), ErrorMetric::relative(2.0)] {
+                    for b in 0..=n + 1 {
+                        let want = oracle::exhaustive_1d(solver.tree(), &data, b, metric).objective;
+                        let base = solver.run_with(b, metric, Config::ALL[0]);
+                        assert!(
+                            (base.objective - want).abs() < 1e-9,
+                            "{data:?} b={b} {metric:?}: {} vs oracle {want}",
+                            base.objective
+                        );
+                        for config in Config::ALL {
+                            let r = solver.run_with(b, metric, config);
+                            assert_eq!(
+                                (r.objective.to_bits(), r.synopsis.indices()),
+                                (base.objective.to_bits(), base.synopsis.indices()),
+                                "{data:?} b={b} {metric:?} {}",
+                                config.id()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_data_is_refused_at_construction() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for index in [0, EXAMPLE.len() - 1] {
+                let mut data = EXAMPLE;
+                data[index] = bad;
+                let err = MinMaxErr::new(&data).unwrap_err();
+                assert_eq!(err, HaarError::NonFinite { index });
+                assert!(err.to_string().contains("data must be finite"), "{err}");
             }
         }
     }

@@ -683,8 +683,9 @@ impl StreamColumn {
     ///
     /// # Errors
     /// A completed or poisoned stream, a batch overrunning the declared
-    /// length, a non-finite value, or a finalize failure (undersized
-    /// scale — the column is then poisoned).
+    /// length, a non-finite value, a block whose Haar transform
+    /// overflows, or a finalize failure (undersized scale). The last two
+    /// poison the column.
     pub fn append(&mut self, values: &[f64], obs: &Collector) -> Result<usize, String> {
         if let Some(reason) = &self.failed {
             return Err(format!("stream failed and holds no data: {reason}"));
@@ -707,8 +708,15 @@ impl StreamColumn {
         }
         let span = obs.span("append");
         obs.add("appended", values.len());
-        // Validated above: the builder cannot reject these pushes.
-        builder.push_slice(values).map_err(|e| e.to_string())?;
+        // Validated above, so the builder refuses only a block whose Haar
+        // average or detail overflows. Items before it already went by,
+        // so the column is poisoned.
+        if let Err(e) = builder.push_slice(values) {
+            let msg = e.to_string();
+            self.failed = Some(msg.clone());
+            drop(span);
+            return Err(msg);
+        }
         let received = builder.pushed();
         if builder.is_complete() {
             // The builder is consumed by finalize; on failure the column
@@ -1149,6 +1157,20 @@ mod tests {
             .expect_err("finalize must fail on an undersized scale");
         assert!(err.contains("scale"), "{err}");
         let err = col.append(&[1.0], &obs).unwrap_err();
+        assert!(err.contains("stream failed"), "{err}");
+        let err = col.query(QueryKind::Point(0), &obs).unwrap_err();
+        assert!(err.contains("stream failed"), "{err}");
+    }
+
+    #[test]
+    fn stream_overflow_poisons_the_column() {
+        // Finite items near f64::MAX whose pairwise average overflows
+        // must poison the column, never finalize into a certificate.
+        let mut col = StreamColumn::new(4, 1, 0.25, f64::MAX).unwrap();
+        let obs = Collector::noop();
+        let err = col.append(&[f64::MAX, f64::MAX], &obs).unwrap_err();
+        assert!(err.contains("position 1"), "{err}");
+        let err = col.append(&[1.0, 2.0], &obs).unwrap_err();
         assert!(err.contains("stream failed"), "{err}");
         let err = col.query(QueryKind::Point(0), &obs).unwrap_err();
         assert!(err.contains("stream failed"), "{err}");

@@ -23,12 +23,16 @@
 //!   the ancestors above contribute reconstruction error `e`. Tables
 //!   merge bottom-up: a *keep* of the merged node's coefficient forwards
 //!   `e` unchanged to both children; a *drop* forwards `e ± c`, rounded
-//!   to the child's grid. Height-1 subtrees (a single detail coefficient
-//!   over two leaves) are never materialized — their optimal value has a
-//!   closed form evaluated with the **exact** incoming error, which
-//!   removes two rounding levels from the drift bound. The height-1 and
-//!   height-2 closed forms are the offline kernel's own
-//!   ([`wsyn_synopsis::one_dim::closed_form`], unit denominators).
+//!   to the child's grid. Every table is non-increasing in the budget,
+//!   so a merge fills a whole error column — all budgets at one grid
+//!   error — in one forward pass ([`best_splits`]): `O(B)` per column
+//!   instead of a split scan per cell. Height-1 subtrees (a single
+//!   detail coefficient over two leaves) are never materialized — their
+//!   optimal value has a closed form evaluated with the **exact**
+//!   incoming error, which removes two rounding levels from the drift
+//!   bound. The height-1 and height-2 closed forms are the offline
+//!   kernel's own ([`wsyn_synopsis::one_dim::closed_form`], unit
+//!   denominators).
 //! * **Grid radius and step.** With a caller-supplied scale `S ≥` (the
 //!   offline optimum; any upper bound such as `max |d_i|` works), step
 //!   `δ = ε·S / max(m - 1, 1)` and radius `Q = ⌈(1 + ε)·max(m - 1, 1) /
@@ -48,37 +52,44 @@
 //!
 //! **Space.** Live tables exist only along the right spine of the
 //! frontier — at most one per height — so peak state is bounded by
-//! `(m + 1) · (B + 1) · (2Q + 1)` cells plus the per-cell retained sets
-//! (each at most `B` entries): `O(B² · log²(N) / ε)` in the worst case
-//! and independent of `N` beyond the `log` factors. The builder counts
-//! its own peak working set ([`StreamingMaxErr::peak_cells`],
+//! `(m + 1) · (B + 1) · (2Q + 1)` cells. Each cell holds its value and
+//! one handle into a single reference-counted node store shared by the
+//! whole builder: a keep adds one node `(j, c, left, right)` over the
+//! children's sets, a drop reuses the only non-empty child set (or
+//! joins two with one entry-less node), and a released child table
+//! gives its references back, freeing nodes that reach zero. No cell
+//! copies its children's entries; a cell's set of at most `B` entries
+//! spans at most `2B − 1` nodes, so the store is `O(B² · log²(N) / ε)`
+//! nodes in the worst case (sharing keeps it far smaller in practice),
+//! independent of `N` beyond the `log` factors. The builder counts its
+//! own peak working set ([`StreamingMaxErr::peak_cells`],
 //! [`StreamingMaxErr::peak_bytes`]) so tests can assert sublinearity
 //! instead of trusting the analysis.
 
-use wsyn_core::{is_zero, narrow_u32, DpStats, RowArena, RowId, WsynError};
+use wsyn_core::{is_zero, narrow_u32, DpStats, WsynError};
 use wsyn_haar::{is_pow2, log2_exact};
 use wsyn_obs::Collector;
-use wsyn_synopsis::one_dim::closed_form::{Height1, Height2, Height2At};
+use wsyn_synopsis::one_dim::best_splits;
+use wsyn_synopsis::one_dim::closed_form::{Height1, Height2};
 use wsyn_synopsis::{AnySynopsis, ErrorMetric, RunParams, Synopsis1d, ThresholdRun, Thresholder};
 
 /// A completed subtree's DP table over `(budget, quantized error)`.
 ///
-/// Rows live in a [`RowArena`]: row `b`'s values are the optimal
-/// objectives across the error grid and the parallel choices are handles
-/// into the table-local retained-set store (`spans` → `set_idx` /
-/// `set_val`). Handle `0` is the shared empty set. Tables are pooled and
-/// reset between subtrees so the arena's allocations are reused.
+/// Stored column by column: the `b_cap + 1` budgets of grid error `qi`
+/// sit contiguously at `qi * (b_cap + 1)`, so a merge reads each child
+/// column as one slice. Every cell holds its optimal objective and one
+/// handle into the builder's shared [`SetStore`] (`0` is the empty set);
+/// the table owns one reference per non-empty handle and gives them
+/// back through [`SetStore::release_table`]. Tables are pooled and reset
+/// between subtrees so their allocations are reused.
 #[derive(Default)]
 struct Table {
     /// Largest useful budget: `min(B, 2^h - 1)`. Values are monotone
     /// non-increasing in the budget, so lookups clamp to this cap.
     b_cap: usize,
     grid: usize,
-    rows: Vec<RowId>,
-    arena: RowArena<f64>,
-    spans: Vec<(u32, u32)>,
-    set_idx: Vec<u32>,
-    set_val: Vec<f64>,
+    values: Vec<f64>,
+    sets: Vec<u32>,
 }
 
 impl std::fmt::Debug for Table {
@@ -87,79 +98,193 @@ impl std::fmt::Debug for Table {
             .field("b_cap", &self.b_cap)
             .field("grid", &self.grid)
             .field("cells", &self.cells())
-            .field("set_entries", &self.set_idx.len())
             .finish()
     }
 }
+
+/// Resident bytes of one table cell: an `f64` value and a `u32` handle.
+const CELL_BYTES: usize = 12;
 
 impl Table {
     fn reset(&mut self, b_cap: usize, grid: usize) {
         self.b_cap = b_cap;
         self.grid = grid;
-        self.rows.clear();
-        self.arena.clear();
-        self.spans.clear();
-        self.spans.push((0, 0));
-        self.set_idx.clear();
-        self.set_val.clear();
+        self.values.clear();
+        self.values.resize(self.cells(), f64::INFINITY);
+        self.sets.clear();
+        self.sets.resize(self.cells(), 0);
+    }
+
+    /// Index of cell `(b, qi)`, clamping the budget to the cap.
+    fn at(&self, b: usize, qi: usize) -> usize {
+        qi * (self.b_cap + 1) + b.min(self.b_cap)
     }
 
     fn value(&self, b: usize, qi: usize) -> f64 {
-        self.arena.values(self.rows[b.min(self.b_cap)])[qi]
+        self.values[self.at(b, qi)]
     }
 
-    fn span_of(&self, b: usize, qi: usize) -> u32 {
-        self.arena.choices(self.rows[b.min(self.b_cap)])[qi]
+    fn set_of(&self, b: usize, qi: usize) -> u32 {
+        self.sets[self.at(b, qi)]
     }
 
-    fn set_entries(&self, span: u32) -> (&[u32], &[f64]) {
-        let (off, len) = self.spans[span as usize];
-        let (off, len) = (off as usize, len as usize);
-        (&self.set_idx[off..off + len], &self.set_val[off..off + len])
-    }
-
-    /// Starts a retained set; entries are appended with
-    /// [`Table::push_entry`] / [`Table::copy_set`] and sealed with
-    /// [`Table::seal_set`].
-    fn begin_set(&self) -> usize {
-        self.set_idx.len()
-    }
-
-    fn push_entry(&mut self, j: u32, c: f64) {
-        self.set_idx.push(j);
-        self.set_val.push(c);
-    }
-
-    fn copy_set(&mut self, from: &Table, span: u32) {
-        let (idx, val) = from.set_entries(span);
-        self.set_idx.extend_from_slice(idx);
-        self.set_val.extend_from_slice(val);
-    }
-
-    /// Seals the entries appended since `begin` into a handle; an empty
-    /// set collapses to the shared handle `0`.
-    fn seal_set(&mut self, begin: usize) -> u32 {
-        let len = self.set_idx.len() - begin;
-        if len == 0 {
-            return 0;
-        }
-        let handle = narrow_u32(self.spans.len());
-        self.spans.push((narrow_u32(begin), narrow_u32(len)));
-        handle
+    /// Grid error `qi`'s values as a function of the budget, clamped to
+    /// the cap.
+    fn column(&self, qi: usize) -> impl Fn(usize) -> f64 + '_ {
+        let w = self.b_cap + 1;
+        let col = &self.values[qi * w..(qi + 1) * w];
+        move |b| col[b.min(w - 1)]
     }
 
     fn cells(&self) -> usize {
         (self.b_cap + 1) * self.grid
     }
 
-    /// Approximate resident bytes: 12 per cell (f64 value + u32 choice)
-    /// plus the retained-set store.
+    /// Whether every column is non-increasing in the budget.
+    fn non_increasing(&self) -> bool {
+        self.values
+            .chunks(self.b_cap + 1)
+            .all(|col| col.windows(2).all(|w| w[0] >= w[1]))
+    }
+
     fn bytes(&self) -> usize {
-        self.cells() * 12
-            + self.set_idx.len() * 4
-            + self.set_val.len() * 8
-            + self.spans.len() * 8
-            + self.rows.len() * 8
+        self.cells() * CELL_BYTES
+    }
+}
+
+/// Marks a [`SetNode`] that joins two non-empty sets without an entry.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// One node of a shared retained set: an optional coefficient followed
+/// by two subsets. A set's entries are its nodes in preorder.
+#[derive(Debug, Clone, Copy)]
+struct SetNode {
+    j: u32,
+    c: f64,
+    left: u32,
+    right: u32,
+    /// References from table cells and parent nodes.
+    refs: u32,
+}
+
+/// Resident bytes of one [`SetNode`] slot.
+const NODE_BYTES: usize = std::mem::size_of::<SetNode>();
+
+/// The builder's retained sets, shared across cells and tables and
+/// reference-counted. A keep makes one node over the two children's
+/// sets; a drop reuses the only non-empty child set or joins two with
+/// one entry-less node; so a cell never copies its children's entries,
+/// and a set of `k ≤ B` entries spans at most `2k - 1` nodes. Handle `0`
+/// is the empty set (slot 0 is never used); freed slots are reused.
+#[derive(Debug)]
+struct SetStore {
+    nodes: Vec<SetNode>,
+    free: Vec<u32>,
+    /// Scratch stack of [`SetStore::release`].
+    pending: Vec<u32>,
+}
+
+impl SetStore {
+    fn new() -> SetStore {
+        SetStore {
+            nodes: vec![SetNode {
+                j: NO_ENTRY,
+                c: 0.0,
+                left: 0,
+                right: 0,
+                refs: 0,
+            }],
+            free: Vec::new(),
+            pending: Vec::new(),
+        }
+    }
+
+    /// A new set: entry `j` (or none, for [`NO_ENTRY`]) followed by
+    /// `left` then `right`; takes a reference on each. The caller owns
+    /// the returned reference.
+    fn node(&mut self, j: u32, c: f64, left: u32, right: u32) -> u32 {
+        self.share(left);
+        self.share(right);
+        let node = SetNode {
+            j,
+            c,
+            left,
+            right,
+            refs: 1,
+        };
+        match self.free.pop() {
+            Some(h) => {
+                self.nodes[h as usize] = node;
+                h
+            }
+            None => {
+                self.nodes.push(node);
+                narrow_u32(self.nodes.len() - 1)
+            }
+        }
+    }
+
+    /// The set holding `left`'s entries then `right`'s, owned by the
+    /// caller: shared as-is when one side is empty.
+    fn join(&mut self, left: u32, right: u32) -> u32 {
+        match (left, right) {
+            (0, h) | (h, 0) => self.share(h),
+            _ => self.node(NO_ENTRY, 0.0, left, right),
+        }
+    }
+
+    /// Takes one more reference on `h`.
+    fn share(&mut self, h: u32) -> u32 {
+        if h != 0 {
+            self.nodes[h as usize].refs += 1;
+        }
+        h
+    }
+
+    /// Gives back one reference on `h`, freeing every node whose count
+    /// reaches zero.
+    fn release(&mut self, h: u32) {
+        self.pending.push(h);
+        while let Some(h) = self.pending.pop() {
+            if h == 0 {
+                continue;
+            }
+            let node = &mut self.nodes[h as usize];
+            node.refs -= 1;
+            if node.refs == 0 {
+                self.pending.push(node.left);
+                self.pending.push(node.right);
+                self.free.push(h);
+            }
+        }
+    }
+
+    /// Gives back every reference a table's cells hold.
+    fn release_table(&mut self, table: &Table) {
+        for &h in &table.sets {
+            self.release(h);
+        }
+    }
+
+    /// Appends the entries of `h` in preorder.
+    fn entries(&self, h: u32, out: &mut Vec<(usize, f64)>) {
+        let mut pending = vec![h];
+        while let Some(h) = pending.pop() {
+            if h == 0 {
+                continue;
+            }
+            let node = self.nodes[h as usize];
+            if node.j != NO_ENTRY {
+                out.push((node.j as usize, node.c));
+            }
+            pending.push(node.right);
+            pending.push(node.left);
+        }
+    }
+
+    /// Resident bytes: every slot, live or free.
+    fn bytes(&self) -> usize {
+        self.nodes.len() * NODE_BYTES + self.free.len() * 4
     }
 }
 
@@ -207,7 +332,9 @@ pub struct StreamRun {
     pub stats: DpStats,
     /// Peak number of simultaneously live DP cells across the pass.
     pub peak_cells: usize,
-    /// Peak resident sketch bytes (tables, retained sets, frontier).
+    /// Peak resident sketch bytes: 12 per live table cell (value and
+    /// set handle), the shared retained-set node store counted once
+    /// (every slot, live or free), and the frontier stack.
     pub peak_bytes: usize,
 }
 
@@ -244,6 +371,10 @@ pub struct StreamingMaxErr {
     // this pool without copying their cell storage.
     #[allow(clippy::vec_box)]
     free: Vec<Box<Table>>,
+    sets: SetStore,
+    /// The refusal that poisoned the builder, repeated by every later
+    /// `push` and `finalize`.
+    failed: Option<WsynError>,
     stats: DpStats,
     peak_cells: usize,
     peak_bytes: usize,
@@ -323,6 +454,8 @@ impl StreamingMaxErr {
             pushed: 0,
             stack: Vec::with_capacity(levels as usize + 1),
             free: Vec::new(),
+            sets: SetStore::new(),
+            failed: None,
             stats: DpStats::default(),
             peak_cells: 0,
             peak_bytes: 0,
@@ -378,8 +511,9 @@ impl StreamingMaxErr {
         self.peak_cells
     }
 
-    /// Peak resident sketch bytes so far (DP tables, retained sets, and
-    /// the frontier stack).
+    /// Peak resident sketch bytes so far (DP table cells, the shared
+    /// retained-set node store, and the frontier stack; see
+    /// [`StreamRun::peak_bytes`]).
     #[must_use]
     pub fn peak_bytes(&self) -> usize {
         self.peak_bytes
@@ -397,9 +531,14 @@ impl StreamingMaxErr {
     /// Consumes the next item.
     ///
     /// # Errors
-    /// [`WsynError::Invalid`] when the stream is already complete or the
-    /// value is not finite.
+    /// [`WsynError::Invalid`] when the stream is already complete, the
+    /// value is not finite, or it completes a block whose Haar average or
+    /// detail overflows. An overflow poisons the builder: every later
+    /// `push` and `finalize` returns the same error.
     pub fn push(&mut self, value: f64) -> Result<(), WsynError> {
+        if let Some(err) = &self.failed {
+            return Err(err.clone());
+        }
         if self.pushed >= self.n {
             return Err(WsynError::invalid(format!(
                 "stream already complete ({} items)",
@@ -424,7 +563,10 @@ impl StreamingMaxErr {
         while self.stack.len() >= 2
             && self.stack[self.stack.len() - 1].height == self.stack[self.stack.len() - 2].height
         {
-            self.merge_top();
+            if let Err(err) = self.merge_top() {
+                self.failed = Some(err.clone());
+                return Err(err);
+            }
         }
         Ok(())
     }
@@ -441,7 +583,12 @@ impl StreamingMaxErr {
     }
 
     /// Merges the two equal-height subtrees on top of the frontier.
-    fn merge_top(&mut self) {
+    ///
+    /// # Errors
+    /// [`WsynError::Invalid`] when the merged block's average or detail
+    /// coefficient overflows to a non-finite value (finite items near
+    /// `f64::MAX`): no certificate over such a coefficient is sound.
+    fn merge_top(&mut self) -> Result<(), WsynError> {
         self.obs.add("stream_merges", 1);
         // `push` guarantees two equal-height entries are on top.
         // wsyn: allow(no-panic)
@@ -452,6 +599,14 @@ impl StreamingMaxErr {
         // Bit-identical to `transform::forward`'s pairwise cascade.
         let c = (left.avg - right.avg) / 2.0;
         let avg = (left.avg + right.avg) / 2.0;
+        if !(c.is_finite() && avg.is_finite()) {
+            return Err(WsynError::invalid(format!(
+                "stream value at position {} overflows the Haar transform: the \
+                 average or detail of the {}-item block ending there is not finite",
+                self.pushed - 1,
+                1u64 << height
+            )));
+        }
         let block = (self.pushed - 1) >> height;
         let level = self.levels - height;
         let j = (1usize << level) + block;
@@ -472,6 +627,8 @@ impl StreamingMaxErr {
                     table.cells() + l.cells() + r.cells(),
                     table.bytes() + l.bytes() + r.bytes(),
                 );
+                self.sets.release_table(&l);
+                self.sets.release_table(&r);
                 self.free.push(l);
                 self.free.push(r);
                 Repr::Table(table)
@@ -482,13 +639,16 @@ impl StreamingMaxErr {
             _ => unreachable!("equal-height siblings share a representation"),
         };
         self.stack.push(Pending { height, avg, repr });
+        Ok(())
     }
 
     /// Records a peak candidate: `extra` cells/bytes beyond what the
-    /// frontier stack currently holds.
+    /// frontier stack and the shared set store currently hold.
     fn note_peak(&mut self, extra_cells: usize, extra_bytes: usize) {
         let mut cells = extra_cells;
-        let mut bytes = extra_bytes + self.stack.capacity() * std::mem::size_of::<Pending>();
+        let mut bytes = extra_bytes
+            + self.sets.bytes()
+            + self.stack.capacity() * std::mem::size_of::<Pending>();
         for p in &self.stack {
             if let Repr::Table(t) = &p.repr {
                 cells += t.cells();
@@ -527,7 +687,9 @@ impl StreamingMaxErr {
     /// Materializes the DP table of a height-2 subtree from the shared
     /// [`Height2`] closed form, evaluated once per **exact** grid error
     /// (children see `e ± c` exactly on a drop) — no rounding is
-    /// introduced at this level.
+    /// introduced at this level. A cell's retained set is one of at most
+    /// eight subset chains (one per kept mask of the three
+    /// coefficients), shared by every cell that keeps that mask.
     fn build_base_table(
         &mut self,
         j: usize,
@@ -545,31 +707,36 @@ impl StreamingMaxErr {
         };
         let b_cap = self.budget.min(3);
         let grid = 2 * self.q_radius + 1;
-        // The leaf terms depend on the grid error only, not the budget.
-        let at: Vec<Height2At> = (0..grid)
-            .map(|qi| node.at((qi as f64 - self.q_radius as f64) * self.delta))
-            .collect();
         self.stats.leaf_evals += grid;
+        let coeffs = [(narrow_u32(j), c), (jl, cl), (jr, cr)];
+        let mut chains = [None::<u32>; 8];
         let mut table = self.take_table(b_cap);
-        for b in 0..=b_cap {
-            let mut values = Vec::with_capacity(grid);
-            let mut choices = Vec::with_capacity(grid);
-            for cell in &at {
-                let (choice, kept) = cell.kept(b);
-                let begin = table.begin_set();
-                for ((ji, ci), keep) in [(narrow_u32(j), c), (jl, cl), (jr, cr)]
-                    .into_iter()
-                    .zip(kept)
-                {
-                    if keep {
-                        table.push_entry(ji, ci);
+        for qi in 0..grid {
+            // The leaf terms depend on the grid error only, not the budget.
+            let at = node.at((qi as f64 - self.q_radius as f64) * self.delta);
+            for b in 0..=b_cap {
+                let (choice, kept) = at.kept(b);
+                let mask = kept
+                    .iter()
+                    .enumerate()
+                    .fold(0, |m, (i, &k)| m | (usize::from(k) << i));
+                let chain = *chains[mask].get_or_insert_with(|| {
+                    // Built back to front, so entries read in `coeffs` order.
+                    let mut h = 0;
+                    for (&(ji, ci), _) in coeffs.iter().zip(kept).rev().filter(|(_, k)| *k) {
+                        let next = self.sets.node(ji, ci, h, 0);
+                        self.sets.release(h);
+                        h = next;
                     }
-                }
-                choices.push(table.seal_set(begin));
-                values.push(choice.value);
+                    h
+                });
+                let i = table.at(b, qi);
+                table.values[i] = choice.value;
+                table.sets[i] = self.sets.share(chain);
             }
-            let row = table.arena.alloc(values, choices);
-            table.rows.push(row);
+        }
+        for chain in chains.into_iter().flatten() {
+            self.sets.release(chain);
         }
         self.stats.states += table.cells();
         table
@@ -578,8 +745,17 @@ impl StreamingMaxErr {
     /// Merges two materialized child tables (height ≥ 2 each) into the
     /// parent subtree's table. Drops round the forwarded error onto the
     /// children's grid — the only place rounding enters the pass.
+    ///
+    /// Each grid error is one forward pass over the budgets
+    /// ([`best_splits`]): the keep column splits `b - 1` between the
+    /// children's columns at `e`, the drop column splits `b` between the
+    /// columns at the rounded `e + c` and `e - c`. A kept cell's set is
+    /// one new node over the children's sets; a dropped cell's set joins
+    /// them ([`SetStore::join`]).
     fn merge_tables(&mut self, height: u32, j: usize, c: f64, l: &Table, r: &Table) -> Box<Table> {
         self.obs.add("stream_tables", 1);
+        // `best_splits` needs every child column non-increasing in budget.
+        debug_assert!(l.non_increasing() && r.non_increasing());
         let sub_coeffs = if height >= 32 {
             usize::MAX
         } else {
@@ -587,65 +763,59 @@ impl StreamingMaxErr {
         };
         let b_cap = self.budget.min(sub_coeffs);
         let grid = 2 * self.q_radius + 1;
+        let can_keep = !is_zero(c);
+        let j = narrow_u32(j);
         let mut table = self.take_table(b_cap);
-        for b in 0..=b_cap {
-            let mut values = Vec::with_capacity(grid);
-            let mut choices = Vec::with_capacity(grid);
-            for qi in 0..grid {
-                let e = (qi as f64 - self.q_radius as f64) * self.delta;
-                // Keep: `e` (hence the grid index) forwards unchanged.
-                let can_keep = b >= 1 && !is_zero(c);
-                let mut keep_val = f64::INFINITY;
-                let mut keep_la = 0usize;
-                if can_keep {
-                    for la in 0..b {
-                        let v = l.value(la, qi).max(r.value(b - 1 - la, qi));
-                        if v < keep_val {
-                            keep_val = v;
-                            keep_la = la;
-                        }
-                    }
-                }
-                // Drop: children see `e ± c`, rounded to their grid.
-                let mut drop_val = f64::INFINITY;
-                let mut drop_la = 0usize;
-                let drop_target = match (self.quantize(e + c), self.quantize(e - c)) {
-                    (Some(ql), Some(qr)) => Some((ql, qr)),
-                    _ => None,
-                };
-                if let Some((ql, qr)) = drop_target {
-                    for la in 0..=b {
-                        let v = l.value(la, ql).max(r.value(b - la, qr));
-                        if v < drop_val {
-                            drop_val = v;
-                            drop_la = la;
-                        }
-                    }
-                }
-                let keep = can_keep && keep_val <= drop_val;
-                let chosen = if keep { keep_val } else { drop_val };
-                let handle = if chosen.is_infinite() {
-                    0
-                } else {
-                    let begin = table.begin_set();
-                    if keep {
-                        table.push_entry(narrow_u32(j), c);
-                        table.copy_set(l, l.span_of(keep_la, qi));
-                        table.copy_set(r, r.span_of(b - 1 - keep_la, qi));
-                    } else {
-                        // `drop_val` finite implies the targets exist.
-                        // wsyn: allow(no-panic)
-                        let (ql, qr) = drop_target.expect("finite drop has targets");
-                        table.copy_set(l, l.span_of(drop_la, ql));
-                        table.copy_set(r, r.span_of(b - drop_la, qr));
-                    }
-                    table.seal_set(begin)
-                };
-                values.push(chosen);
-                choices.push(handle);
+        // `keep[b - 1]` and `drop[b]`: (value, left allotment) per budget.
+        let mut keep = vec![(f64::INFINITY, 0usize); b_cap];
+        let mut drop = vec![(f64::INFINITY, 0usize); b_cap + 1];
+        for qi in 0..grid {
+            let e = (qi as f64 - self.q_radius as f64) * self.delta;
+            // Keep: `e` (hence the grid index) forwards unchanged.
+            if can_keep && b_cap >= 1 {
+                best_splits(b_cap - 1, l.column(qi), r.column(qi), |k, v, la| {
+                    keep[k] = (v, la);
+                });
             }
-            let row = table.arena.alloc(values, choices);
-            table.rows.push(row);
+            // Drop: children see `e ± c`, rounded to their grid.
+            let targets = match (self.quantize(e + c), self.quantize(e - c)) {
+                (Some(ql), Some(qr)) => {
+                    best_splits(b_cap, l.column(ql), r.column(qr), |b, v, la| {
+                        drop[b] = (v, la);
+                    });
+                    Some((ql, qr))
+                }
+                _ => {
+                    drop.fill((f64::INFINITY, 0));
+                    None
+                }
+            };
+            for b in 0..=b_cap {
+                let (drop_val, drop_la) = drop[b];
+                let kept = (can_keep && b >= 1)
+                    .then(|| keep[b - 1])
+                    .filter(|&(keep_val, _)| keep_val <= drop_val);
+                let (value, set) = match (kept, targets) {
+                    (Some((v, la)), _) if v.is_finite() => {
+                        let set = self
+                            .sets
+                            .node(j, c, l.set_of(la, qi), r.set_of(b - 1 - la, qi));
+                        (v, set)
+                    }
+                    (Some((v, _)), _) => (v, 0),
+                    // A finite drop value implies the targets exist.
+                    (None, Some((ql, qr))) if drop_val.is_finite() => {
+                        let set = self
+                            .sets
+                            .join(l.set_of(drop_la, ql), r.set_of(b - drop_la, qr));
+                        (drop_val, set)
+                    }
+                    (None, _) => (drop_val, 0),
+                };
+                let i = table.at(b, qi);
+                table.values[i] = value;
+                table.sets[i] = set;
+            }
         }
         self.stats.states += table.cells();
         table
@@ -655,9 +825,13 @@ impl StreamingMaxErr {
     /// `c_0` against the top table and traces out the synopsis.
     ///
     /// # Errors
-    /// [`WsynError::Invalid`] when the stream is incomplete or the DP is
-    /// infeasible (the declared `scale` was smaller than the optimum).
+    /// [`WsynError::Invalid`] when the stream is incomplete, a `push`
+    /// was refused for overflow, or the DP is infeasible (the declared
+    /// `scale` was smaller than the optimum).
     pub fn finalize(mut self) -> Result<StreamRun, WsynError> {
+        if let Some(err) = self.failed {
+            return Err(err);
+        }
         if self.pushed != self.n {
             return Err(WsynError::invalid(format!(
                 "stream incomplete: got {} of {} items",
@@ -734,18 +908,15 @@ impl StreamingMaxErr {
                         self.scale
                     )));
                 }
-                let span = if keep {
+                let set = if keep {
                     entries.push((0, c0));
-                    t.span_of(b - 1, q_zero)
+                    t.set_of(b - 1, q_zero)
                 } else {
                     // A finite drop value implies the target exists.
                     // wsyn: allow(no-panic)
-                    t.span_of(b, drop_q.expect("finite drop has a target"))
+                    t.set_of(b, drop_q.expect("finite drop has a target"))
                 };
-                let (idx, val) = t.set_entries(span);
-                for (&ji, &ci) in idx.iter().zip(val) {
-                    entries.push((ji as usize, ci));
-                }
+                self.sets.entries(set, &mut entries);
                 chosen
             }
         };
@@ -956,6 +1127,13 @@ mod tests {
         let scale = 96.0;
         let mut builder = StreamingMaxErr::new(n, scale, &params).unwrap();
         let bound = builder.state_bound_cells();
+        // Every live cell holds a value, a handle, and a set of at most
+        // `2B - 1` shared nodes (each with a possible free-list slot);
+        // the store also keeps its unused slot 0, and the frontier
+        // stack never outgrows its initial capacity.
+        let bound_bytes = bound * (CELL_BYTES + (2 * builder.budget() - 1) * (NODE_BYTES + 4))
+            + NODE_BYTES
+            + builder.stack.capacity() * std::mem::size_of::<Pending>();
         builder.push_slice(&data).unwrap();
         let run = builder.finalize().unwrap();
         assert!(
@@ -963,9 +1141,45 @@ mod tests {
             "peak {} exceeds documented bound {bound}",
             run.peak_cells
         );
+        assert!(
+            run.peak_bytes <= bound_bytes,
+            "peak bytes {} exceed documented bound {bound_bytes}",
+            run.peak_bytes
+        );
         // Sublinearity witness: the bound (and the measurement) are far
         // below N — the sketch never holds the data.
         assert!(run.peak_cells < n / 2, "peak {} not o(N)", run.peak_cells);
+    }
+
+    /// Finite items whose Haar average or detail overflows are refused
+    /// at the `push` that completes the block, naming its position, and
+    /// the builder stays refused: no later call yields a certificate.
+    #[test]
+    fn overflowing_merges_are_refused_not_certified() {
+        const MAX: f64 = f64::MAX;
+        let cases: [(&[f64], usize); 5] = [
+            (&[MAX, -MAX, MAX, 0.0], 8),
+            (&[MAX, MAX, -MAX, MAX], 1),
+            (&[MAX, MAX, -MAX, MAX], 4),
+            (&[1e308, 1e308, -1e308, 1e308], 1),
+            (&[MAX; 8], 2),
+        ];
+        for (data, b) in cases {
+            let scale = data.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+            let params = RunParams::new(b, ErrorMetric::absolute()).eps(0.25);
+            let mut builder = StreamingMaxErr::new(data.len(), scale, &params).unwrap();
+            let err = builder.push_slice(data).unwrap_err();
+            match &err {
+                WsynError::Invalid(msg) => assert!(
+                    msg.contains("position 1") && msg.contains("not finite"),
+                    "{data:?} b={b}: {msg}"
+                ),
+                other => panic!("{data:?} b={b}: expected Invalid, got {other:?}"),
+            }
+            assert_eq!(builder.pushed(), 2, "{data:?} b={b}");
+            assert_eq!(builder.push(0.0).unwrap_err(), err, "{data:?} b={b}");
+            assert_eq!(builder.finalize().unwrap_err(), err, "{data:?} b={b}");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use wsyn_core::is_zero;
 
 /// The larger of two values, first argument on ties — the DP's `max`.
 #[inline]
-pub(crate) fn vmax(a: f64, b: f64) -> f64 {
+pub(crate) fn vmax<V: PartialOrd + Copy>(a: V, b: V) -> V {
     if a >= b {
         a
     } else {

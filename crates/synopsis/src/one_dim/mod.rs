@@ -59,6 +59,7 @@ use wsyn_haar::{ErrorTree1d, HaarError};
 
 use crate::metric::ErrorMetric;
 use crate::synopsis::Synopsis1d;
+use closed_form::vmax;
 
 /// Which DP engine to run (see module docs).
 ///
@@ -414,14 +415,6 @@ where
     F: Fn(&mut C, usize) -> V,
     G: Fn(&mut C, usize) -> V,
 {
-    #[inline]
-    fn vmax<V: PartialOrd + Copy>(a: V, b: V) -> V {
-        if a >= b {
-            a
-        } else {
-            b
-        }
-    }
     match split {
         SplitSearch::Linear => {
             let mut best = vmax(f(ctx, 0), g(ctx, 0));
@@ -481,6 +474,49 @@ where
             }
             (best, best_b)
         }
+    }
+}
+
+/// [`best_split`] at every total budget at once: for each `t ∈
+/// 0..=total` in order, calls `emit(t, best, b')` where `b'` is the
+/// leftmost minimizer of `max(left(b'), right(t - b'))` over `b' ∈ 0..=t`
+/// and `best` its value — exactly what `best_split` returns for budget
+/// `t` with `f = left` and `g(b') = right(t - b')`, under either
+/// [`SplitSearch`].
+///
+/// Both `left` and `right` take their own allotment and must be
+/// non-increasing in it. Then the crossover (the smallest `b'` with
+/// `left(b') <= right(t - b')`) and the leftmost minimizer (the smallest
+/// `b'` with `left(b') <= best`, since `best` never grows with `t`) only
+/// move right as `t` grows, so one forward pass of two pointers costs
+/// `O(total)` evaluations instead of `O(total²)`. Used by the streaming
+/// builder to merge a whole error column of two child tables.
+pub fn best_splits<V, F, G, E>(total: usize, left: F, right: G, mut emit: E)
+where
+    V: PartialOrd + Copy,
+    F: Fn(usize) -> V,
+    G: Fn(usize) -> V,
+    E: FnMut(usize, V, usize),
+{
+    let mut cross = 0usize;
+    let mut lead = 0usize;
+    for t in 0..=total {
+        // As in `Binary`: the optimum sits at the crossover or just
+        // before it (the crossover is `t` when no split satisfies it).
+        while cross < t && left(cross) > right(t - cross) {
+            cross += 1;
+        }
+        let mut best = vmax(left(cross), right(t - cross));
+        if cross > 0 {
+            let v = vmax(left(cross - 1), right(t + 1 - cross));
+            if v < best {
+                best = v;
+            }
+        }
+        while lead < t && left(lead) > best {
+            lead += 1;
+        }
+        emit(t, vmax(left(lead), right(t - lead)), lead);
     }
 }
 
@@ -545,6 +581,22 @@ mod tests {
                 let lin = best_split(&mut (), B, SplitSearch::Linear, f, g);
                 let bin = best_split(&mut (), B, SplitSearch::Binary, f, g);
                 assert_eq!(lin, bin, "f={fv:?} g(rev)={gv:?}");
+                // The all-budgets pass agrees with the reference scan at
+                // every budget, not just the full one.
+                let mut emitted = 0;
+                best_splits(
+                    B,
+                    |bp| fv[bp],
+                    |br| gv[br],
+                    |t, best, bp| {
+                        assert_eq!(t, emitted);
+                        emitted += 1;
+                        let g = |_: &mut (), bp: usize| gv[t - bp];
+                        let lin = best_split(&mut (), t, SplitSearch::Linear, f, g);
+                        assert_eq!((best, bp), lin, "t={t} f={fv:?} g={gv:?}");
+                    },
+                );
+                assert_eq!(emitted, B + 1);
             }
         }
     }

@@ -11,8 +11,8 @@
 //!   `u128` state with a hand-rolled multiply-xor (FxHash-style) hasher.
 //!   Insert-only workloads (every top-down DP here) probe it 2–4× faster
 //!   than `std::collections::HashMap`'s SipHash on tuple keys, and it
-//!   derives probe displacement so table pressure is visible in
-//!   [`DpStats`] without a counter in the lookup path.
+//!   keeps a running sum of probe displacement so table pressure is
+//!   visible in [`DpStats`] without a counter in the lookup path.
 //! * [`RowArena`] / [`RowId`] — arena-allocated DP rows (a value and a
 //!   choice slice per node state) replacing per-row `Rc` clones: one
 //!   allocation pool per solve, `Copy` handles in the memo.
@@ -48,10 +48,13 @@ pub struct DpStats {
     /// tree (and the root); the streaming builder counts table cells.
     pub states: usize,
     /// Evaluations done without the memo, each computing leaf errors
-    /// `|e| / denom` directly. Most solvers count one per leaf. The 1-D
-    /// `Dedup` kernel and the streaming builder count one per
-    /// closed-form evaluation of a subtree of height ≤ 2 (a height-2 or
-    /// height-1 node, or a lone leaf), whatever its leaf count.
+    /// `|e| / denom` directly. Most solvers count one per leaf. The
+    /// streaming builder counts one per closed-form evaluation of a
+    /// subtree of height ≤ 2, whatever its leaf count. The 1-D `Dedup`
+    /// kernel counts one per closed-form child per branch it evaluates:
+    /// a height-3 node's branch evaluates each height-2 child once for
+    /// its whole split search, and the root counts each evaluation of
+    /// its closed-form child (height ≤ 2, or the lone leaf when `N = 1`).
     pub leaf_evals: usize,
     /// Memo-table probe displacement — slots between each resident
     /// entry's hashed home slot and where it lives. `0` means every
@@ -239,14 +242,17 @@ pub fn hash_state(key: u128) -> u64 {
 /// need an all-ones node id, budget, *and* error bit pattern at once),
 /// and `insert` rejects it.
 ///
-/// Table pressure for [`DpStats`] is not counted in the hot path (a
+/// Table pressure for [`DpStats`] is not counted in the lookup path (a
 /// per-lookup counter costs ~10% on memo-bound DPs); [`Self::probes`]
-/// instead derives the total probe displacement of the resident entries
-/// on demand, which insert-only linear probing makes exact.
+/// instead reports the total probe displacement of the resident entries,
+/// a running sum that insert-only linear probing keeps exact: an entry's
+/// slot never moves until the next growth or clear.
 pub struct StateTable<V> {
     keys: Vec<u128>,
     vals: Vec<Option<V>>,
     len: usize,
+    /// Sum of every resident entry's probe displacement.
+    displacement: usize,
 }
 
 /// Empty-slot marker in the key array (see [`StateTable`] docs).
@@ -275,6 +281,7 @@ impl<V> StateTable<V> {
             keys: vec![EMPTY_KEY; cap],
             vals: (0..cap).map(|_| None).collect(),
             len: 0,
+            displacement: 0,
         }
     }
 
@@ -293,26 +300,39 @@ impl<V> StateTable<V> {
     /// Total probe displacement of the resident entries: the number of
     /// slots between each entry's hashed home slot and where it actually
     /// lives. `0` means every entry sits at its home slot — every lookup
-    /// lands directly. Derived on demand in one pass over the table
-    /// (insert-only linear probing keeps displacement exact), so the
-    /// hot lookup path carries no counter.
+    /// lands directly. A running sum: `insert` adds each new entry's
+    /// displacement, `grow` recomputes it for the rehashed layout and
+    /// `clear` resets it, so reading it costs no table scan and the
+    /// lookup path carries no counter.
     #[must_use]
     pub fn probes(&self) -> usize {
-        let mask = self.keys.len() - 1;
+        self.displacement
+    }
+
+    /// [`Self::probes`] derived by one pass over the whole table: the
+    /// reference the running sum is tested against.
+    #[cfg(test)]
+    fn scanned_probes(&self) -> usize {
         self.keys
             .iter()
             .enumerate()
             .filter(|(_, &k)| k != EMPTY_KEY)
-            .map(|(i, &k)| i.wrapping_sub(hash_state(k) as usize) & mask)
+            .map(|(i, &k)| self.displacement_at(i, k))
             .sum()
+    }
+
+    /// Slots between `key`'s hashed home slot and slot `i`.
+    #[inline]
+    fn displacement_at(&self, i: usize, key: u128) -> usize {
+        i.wrapping_sub(hash_state(key) as usize) & (self.keys.len() - 1)
     }
 
     /// Index of the slot holding `key` (`true`), or of the empty slot
     /// where it would be inserted (`false`). A single pass over the key
     /// array — callers never re-compare the key. Indexing is written as
     /// `keys[i & mask]` with `mask == keys.len() - 1` so the bounds
-    /// check compiles away. The loop carries no probe counter — table
-    /// pressure is derived after the fact by [`Self::probes`].
+    /// check compiles away. The loop carries no probe counter — `insert`
+    /// records the displacement of the slot it fills ([`Self::probes`]).
     #[inline]
     fn probe(&self, key: u128) -> (usize, bool) {
         let keys = self.keys.as_slice();
@@ -355,6 +375,7 @@ impl<V> StateTable<V> {
         match self.probe(key) {
             (i, true) => self.vals[i].replace(value),
             (i, false) => {
+                self.displacement += self.displacement_at(i, key);
                 self.keys[i] = key;
                 self.vals[i] = Some(value);
                 self.len += 1;
@@ -371,6 +392,7 @@ impl<V> StateTable<V> {
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY_KEY; new_cap]);
         let old_vals = std::mem::replace(&mut self.vals, (0..new_cap).map(|_| None).collect());
         let mask = new_cap - 1;
+        self.displacement = 0;
         for (key, val) in old_keys.into_iter().zip(old_vals) {
             if key == EMPTY_KEY {
                 continue;
@@ -379,6 +401,7 @@ impl<V> StateTable<V> {
             while self.keys[i] != EMPTY_KEY {
                 i = (i + 1) & mask;
             }
+            self.displacement += self.displacement_at(i, key);
             self.keys[i] = key;
             self.vals[i] = val;
         }
@@ -389,8 +412,8 @@ impl<V> StateTable<V> {
     /// This is the reuse half of the workspace lifecycle: a cleared
     /// table starts the next solve with zero entries but no fresh
     /// allocation or rehash ramp-up. Between clears the table stays
-    /// insert-only, so the probe-displacement derivation in
-    /// [`Self::probes`] remains exact.
+    /// insert-only, so the running displacement sum behind
+    /// [`Self::probes`] stays exact.
     pub fn clear(&mut self) {
         if self.len == 0 {
             return;
@@ -398,6 +421,7 @@ impl<V> StateTable<V> {
         self.keys.fill(EMPTY_KEY);
         self.vals.fill_with(|| None);
         self.len = 0;
+        self.displacement = 0;
     }
 
     /// Iterates over `(key, value)` pairs in unspecified order.
@@ -858,7 +882,8 @@ mod proptests {
         /// `BTreeMap` reference model under any interleaving of inserts,
         /// lookups, and clears, across growth/rehash boundaries (tiny
         /// initial capacity forces several), and its final iteration
-        /// contents match the model exactly.
+        /// contents match the model exactly. The running probe count
+        /// equals a full-table displacement scan after every operation.
         #[test]
         fn state_table_matches_btreemap_model(
             ops in proptest::collection::vec(op_strategy(), 0..400),
@@ -878,6 +903,7 @@ mod proptests {
                 }
                 prop_assert_eq!(table.len(), model.len());
                 prop_assert_eq!(table.is_empty(), model.is_empty());
+                prop_assert_eq!(table.probes(), table.scanned_probes());
             }
             let mut got: Vec<(u128, u64)> = table.iter().map(|(k, v)| (k, *v)).collect();
             got.sort_unstable();

@@ -144,6 +144,51 @@ fn columns_spread_across_shards_and_answers_do_not_depend_on_shard_count() {
     );
 }
 
+/// A budget beyond `u32` is an ordinary request: the build answers with
+/// the synopsis a budget of `N` gives, and the shard worker survives to
+/// serve the next column (one shard, so both columns share it).
+#[test]
+fn oversized_budget_builds_and_the_shard_keeps_answering() {
+    let (addr, handle) = start(1);
+    let mut client = Client::connect(&addr).expect("connect");
+    let (huge, other) = (data(32, 11), data(32, 12));
+    client.put("huge", &huge).expect("put");
+    client.put("other", &other).expect("put");
+    let fields = |r: &wsyn_serve::Response| {
+        let objective = r.get("objective").and_then(Value::as_f64).unwrap();
+        let retained: Vec<usize> = r
+            .get("retained")
+            .and_then(Value::as_array)
+            .unwrap()
+            .iter()
+            .map(|v| v.as_usize().unwrap())
+            .collect();
+        (objective.to_bits(), retained)
+    };
+    let build = client
+        .build("huge", 5_000_000_000, "abs", false)
+        .expect("a budget of 5e9 builds");
+    let lib = MinMaxErr::new(&huge)
+        .unwrap()
+        .run(huge.len(), ErrorMetric::absolute());
+    assert_eq!(
+        fields(&build),
+        (lib.objective.to_bits(), lib.synopsis.indices())
+    );
+    let build = client
+        .build("other", 6, "abs", false)
+        .expect("the shard still answers");
+    let lib = MinMaxErr::new(&other)
+        .unwrap()
+        .run(6, ErrorMetric::absolute());
+    assert_eq!(
+        fields(&build),
+        (lib.objective.to_bits(), lib.synopsis.indices())
+    );
+    client.shutdown().expect("shutdown");
+    handle.join().expect("join").expect("run");
+}
+
 #[test]
 fn protocol_errors_answer_without_dropping_the_connection() {
     let (addr, handle) = start(1);

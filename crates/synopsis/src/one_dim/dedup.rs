@@ -1,4 +1,4 @@
-//! Default `MinMaxErr` engine: an iterative branch-and-bound kernel with
+//! Default `MinMaxErr` engine: a recursive branch-and-bound kernel with
 //! memoization on the *incoming error* scalar and a reusable workspace.
 //!
 //! **State.** For a subtree `T_j`, an ancestor subset `S ⊆ path(c_j)`
@@ -45,12 +45,15 @@
 //! it re-solves whole subtrees per split probe and measured slower
 //! (DESIGN.md §9).
 //!
-//! **Iterative kernel.** `solve` runs on an explicit frame stack instead
-//! of recursion: a frame's evaluation either completes from memoized
-//! children (insert + pop) or reports the first missing child, which is
-//! pushed and solved first. Re-walks after a resume cost only memo hits.
-//! No call-stack depth limits at `N = 2^20`, and no recursion in `trace`
-//! either.
+//! **Recursive kernel.** `solve` is plain recursion: a memoized child
+//! that misses is solved and inserted in place, so every state's split
+//! search runs once, and each state is inserted when its own solve
+//! completes (post-order). At height 3 both children are closed forms, and
+//! each branch evaluates each child once ([`Height2::at`]) instead of at
+//! every split probe. Only the root and nodes at height ≥ 3 nest a solve,
+//! so the recursion is at most `log2 N - 1` solves deep: 19 at
+//! `N = 2^20`, and 30 for the largest domain a `u32` slot id allows
+//! (`N = 2^31`). `trace` walks the decisions on an explicit stack.
 //!
 //! **Workspace.** [`DedupWorkspace`] owns the memo across runs. States
 //! are keyed `(node, budget, e)` and their values are independent of the
@@ -68,7 +71,7 @@ use wsyn_core::{is_zero, narrow_u32, pack_state_1d, DpStats, DpWorkspace, StateT
 use wsyn_haar::ErrorTree1d;
 
 use super::closed_form::{vmax, Height1, Height2};
-use super::{MetricTables, SplitSearch, ThresholdResult};
+use super::{best_split_above, MetricTables, SplitSearch, ThresholdResult};
 use crate::synopsis::Synopsis1d;
 
 #[derive(Clone, Copy)]
@@ -78,7 +81,7 @@ struct Entry {
     left_allot: u32,
 }
 
-/// A pending subproblem on the explicit solve/trace stack.
+/// A pending subproblem on the trace stack.
 #[derive(Clone, Copy)]
 struct Frame {
     id: u32,
@@ -241,23 +244,25 @@ impl Kernel<'_> {
     /// Value of the child subproblem `(id, b, e)`: subtrees of height
     /// at most 2 (slots `id >= n / 4`) are evaluated inline in closed
     /// form and never memoized, memoized higher nodes are a table hit,
-    /// and a missing higher node is reported as the frame to solve
-    /// first.
+    /// and a missing higher node is solved and inserted first.
     #[inline]
-    fn child_value(&mut self, id: usize, b: usize, e: f64) -> Result<f64, Frame> {
+    fn child_value(&mut self, id: usize, b: usize, e: f64) -> f64 {
         if id >= self.n / 4 {
             self.leaf_evals += 1;
-            return Ok(self.bottom_value(id, b, e));
+            return self.bottom_value(id, b, e);
         }
-        let fr = Frame {
-            id: narrow_u32(id),
-            b: narrow_u32(b),
-            e,
-        };
-        match self.memo.get(pack_state_1d(fr.id, fr.b, e.to_bits())) {
-            Some(entry) => Ok(entry.value),
-            None => Err(fr),
+        self.memo_value(id, b, e)
+    }
+
+    /// The memoized state `(id, b, e)`, solved and inserted on a miss.
+    fn memo_value(&mut self, id: usize, b: usize, e: f64) -> f64 {
+        let key = pack_state_1d(narrow_u32(id), narrow_u32(b), e.to_bits());
+        if let Some(entry) = self.memo.get(key) {
+            return entry.value;
         }
+        let entry = self.solve_state(id, b, e);
+        self.memo.insert(key, entry);
+        entry.value
     }
 
     /// The height-1 node at combined slot `id` (`n / 2 <= id < n`).
@@ -296,99 +301,47 @@ impl Kernel<'_> {
         }
     }
 
-    /// Optimal split of `budget` between left child `f` and right child
-    /// `g` (both non-increasing in their own allotment), returning
-    /// `(best value, best left allotment)`.
+    /// One branch of the non-root node at slot `id`: the best split of
+    /// `budget` between its children, the left seeing incoming error
+    /// `el` and the right `er`, as `(value, left allotment)`. `floor` is
+    /// the branch's admissible bound; the pruned kernel hands it to the
+    /// split search ([`super::best_split_above`]).
     ///
-    /// `floor` is the branch's admissible lower bound, valid for *every*
-    /// allotment: once the incumbent reaches it, no other allotment can
-    /// be strictly better, so the pruned `Linear` scan stops early and
-    /// the pruned `Binary` probe skips its `lo - 1` refinement. Both
-    /// cuts preserve the exact `(value, allotment)` pair the unpruned
-    /// search returns — only strict improvements move the incumbent.
-    fn split_value<F, G>(
-        &mut self,
-        budget: usize,
-        floor: f64,
-        f: F,
-        g: G,
-    ) -> Result<(f64, u32), Frame>
-    where
-        F: Fn(&mut Self, usize) -> Result<f64, Frame>,
-        G: Fn(&mut Self, usize) -> Result<f64, Frame>,
-    {
-        match self.split {
-            SplitSearch::Linear => {
-                let mut best = vmax(f(self, 0)?, g(self, 0)?);
-                let mut best_b = 0usize;
-                if !(self.prune && best <= floor) {
-                    for bp in 1..=budget {
-                        let v = vmax(f(self, bp)?, g(self, bp)?);
-                        if v < best {
-                            best = v;
-                            best_b = bp;
-                            if self.prune && best <= floor {
-                                break;
-                            }
-                        }
-                    }
-                }
-                Ok((best, narrow_u32(best_b)))
-            }
-            SplitSearch::Binary => {
-                // Smallest b' with f(b') <= g(b'); the optimum is at
-                // that crossover or immediately before it.
-                let mut lo = 0usize;
-                let mut hi = budget;
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if f(self, mid)? <= g(self, mid)? {
-                        hi = mid;
-                    } else {
-                        lo = mid + 1;
-                    }
-                }
-                let mut best = vmax(f(self, lo)?, g(self, lo)?);
-                let mut best_b = lo;
-                if lo > 0 && !(self.prune && best <= floor) {
-                    let v = vmax(f(self, lo - 1)?, g(self, lo - 1)?);
-                    if v < best {
-                        best = v;
-                        best_b = lo - 1;
-                    }
-                }
-                // Leftmost tie-break, matching `Linear` and the shared
-                // [`super::best_split`]: the minimizer set is contiguous
-                // and its left edge is the smallest allotment with
-                // `f <= best`. Runs after the floor cut — the cut only
-                // certifies `best` is optimal, not that it is leftmost.
-                if best_b > 0 {
-                    let mut llo = 0usize;
-                    let mut lhi = best_b;
-                    while llo < lhi {
-                        let mid = llo + (lhi - llo) / 2;
-                        if f(self, mid)? <= best {
-                            lhi = mid;
-                        } else {
-                            llo = mid + 1;
-                        }
-                    }
-                    if llo != best_b {
-                        best_b = llo;
-                        // Equal to `best` by construction; re-evaluating
-                        // materializes both children's memo entries at the
-                        // chosen split so traceback can replay it.
-                        best = vmax(f(self, best_b)?, g(self, best_b)?);
-                    }
-                }
-                Ok((best, narrow_u32(best_b)))
-            }
-        }
+    /// At height 3 both children are height-2 closed forms whose leaf
+    /// terms depend on the branch's errors only, so each child is
+    /// evaluated once ([`Height2::at`]) and the split search answers
+    /// every probe from that evaluation — the same `f64` expressions
+    /// [`Kernel::bottom_value`] runs, hence the same values.
+    fn branch(&mut self, id: usize, budget: usize, floor: f64, el: f64, er: f64) -> (f64, u32) {
+        let (lc, rc) = (2 * id, 2 * id + 1);
+        let (split, floor) = (self.split, self.prune.then_some(floor));
+        let (value, left) = if lc >= self.n / 4 {
+            self.leaf_evals += 2;
+            let (l, r) = (self.height2(lc).at(el), self.height2(rc).at(er));
+            best_split_above(
+                self,
+                budget,
+                split,
+                floor,
+                |_, bp| l.solve(bp).value,
+                |_, bp| r.solve(budget - bp).value,
+            )
+        } else {
+            best_split_above(
+                self,
+                budget,
+                split,
+                floor,
+                |s, bp| s.child_value(lc, bp, el),
+                |s, bp| s.child_value(rc, budget - bp, er),
+            )
+        };
+        (value, narrow_u32(left))
     }
 
-    /// One attempt at computing a frame's entry from memoized children.
-    /// `Err` reports the first missing child; after it is solved the
-    /// re-attempt replays the prefix as cheap memo hits.
+    /// Computes the entry of the memoized state `(id, b, e)`, solving
+    /// any missing memoized child on the way (recursion nests once per
+    /// memoized level; see the module docs for the depth bound).
     ///
     /// Keep/drop branch order and pruning: the branch with the smaller
     /// admissible bound is evaluated first (keep first on equal bounds);
@@ -398,10 +351,7 @@ impl Kernel<'_> {
     /// anyway); skipping keep requires strictly `keep_lb > drop_val`
     /// (on equality keep could still win the tie). Either way the entry
     /// written is exactly the unpruned kernel's entry.
-    fn try_solve(&mut self, fr: Frame) -> Result<Entry, Frame> {
-        let id = fr.id as usize;
-        let b = fr.b as usize;
-        let e = fr.e;
+    fn solve_state(&mut self, id: usize, b: usize, e: f64) -> Entry {
         let c = self.tree.coeff(id);
         // Keeping a zero coefficient wastes budget, matching the
         // paper's path(u) containing non-zero ancestors only.
@@ -411,32 +361,32 @@ impl Kernel<'_> {
             // contribution sign +1; no budget split to search.
             let child = if self.n == 1 { self.n } else { 1 };
             if !can_keep {
-                return Ok(Entry {
-                    value: self.child_value(child, b, e + c)?,
+                return Entry {
+                    value: self.child_value(child, b, e + c),
                     keep: false,
                     left_allot: narrow_u32(b),
-                });
+                };
             }
             let keep_lb = self.lb(child, e);
             let drop_lb = self.lb(child, e + c);
             let (keep_val, drop_val) = if keep_lb <= drop_lb {
-                let kv = self.child_value(child, b - 1, e)?;
+                let kv = self.child_value(child, b - 1, e);
                 let dv = if self.prune && drop_lb >= kv {
                     f64::INFINITY
                 } else {
-                    self.child_value(child, b, e + c)?
+                    self.child_value(child, b, e + c)
                 };
                 (kv, dv)
             } else {
-                let dv = self.child_value(child, b, e + c)?;
+                let dv = self.child_value(child, b, e + c);
                 let kv = if self.prune && keep_lb > dv {
                     f64::INFINITY
                 } else {
-                    self.child_value(child, b - 1, e)?
+                    self.child_value(child, b - 1, e)
                 };
                 (kv, dv)
             };
-            return Ok(if keep_val <= drop_val {
+            return if keep_val <= drop_val {
                 Entry {
                     value: keep_val,
                     keep: true,
@@ -448,55 +398,37 @@ impl Kernel<'_> {
                     keep: false,
                     left_allot: narrow_u32(b),
                 }
-            });
+            };
         }
         let (lc, rc) = (2 * id, 2 * id + 1);
         // Branch bounds: max over the two children's subtree bounds at
         // the error each branch sends them — valid for any allotment.
         let drop_lb = vmax(self.lb(lc, e + c), self.lb(rc, e - c));
-        let eval_drop = |s: &mut Self| {
-            s.split_value(
-                b,
-                drop_lb,
-                |s, bp| s.child_value(lc, bp, e + c),
-                |s, bp| s.child_value(rc, b - bp, e - c),
-            )
-        };
         if !can_keep {
-            let (drop_val, drop_allot) = eval_drop(self)?;
-            return Ok(Entry {
-                value: drop_val,
+            let (value, left_allot) = self.branch(id, b, drop_lb, e + c, e - c);
+            return Entry {
+                value,
                 keep: false,
-                left_allot: drop_allot,
-            });
+                left_allot,
+            };
         }
         let keep_lb = vmax(self.lb(lc, e), self.lb(rc, e));
-        let eval_keep = |s: &mut Self| {
-            s.split_value(
-                b - 1,
-                keep_lb,
-                |s, bp| s.child_value(lc, bp, e),
-                |s, bp| s.child_value(rc, b - 1 - bp, e),
-            )
-        };
-        let (keep_val, keep_allot, drop_val, drop_allot) = if keep_lb <= drop_lb {
-            let (kv, ka) = eval_keep(self)?;
-            if self.prune && drop_lb >= kv {
-                (kv, ka, f64::INFINITY, 0)
+        let ((keep_val, keep_allot), (drop_val, drop_allot)) = if keep_lb <= drop_lb {
+            let keep = self.branch(id, b - 1, keep_lb, e, e);
+            if self.prune && drop_lb >= keep.0 {
+                (keep, (f64::INFINITY, 0))
             } else {
-                let (dv, da) = eval_drop(self)?;
-                (kv, ka, dv, da)
+                (keep, self.branch(id, b, drop_lb, e + c, e - c))
             }
         } else {
-            let (dv, da) = eval_drop(self)?;
-            if self.prune && keep_lb > dv {
-                (f64::INFINITY, 0, dv, da)
+            let drop = self.branch(id, b, drop_lb, e + c, e - c);
+            if self.prune && keep_lb > drop.0 {
+                ((f64::INFINITY, 0), drop)
             } else {
-                let (kv, ka) = eval_keep(self)?;
-                (kv, ka, dv, da)
+                (self.branch(id, b - 1, keep_lb, e, e), drop)
             }
         };
-        Ok(if keep_val <= drop_val {
+        if keep_val <= drop_val {
             Entry {
                 value: keep_val,
                 keep: true,
@@ -508,45 +440,14 @@ impl Kernel<'_> {
                 keep: false,
                 left_allot: drop_allot,
             }
-        })
+        }
     }
 
     /// Minimum possible maximum error for the whole domain with budget
-    /// `b` — the explicit-stack driver rooted at `(c_0, b, 0)`. The stack
-    /// always holds a root-to-descendant dependency chain (node ids
-    /// strictly increase downward), so its depth is bounded by the tree
-    /// height.
+    /// `b`: the memoized root state `(c_0, b, 0)`, solved recursively on
+    /// a miss.
     fn solve(&mut self, b: usize) -> f64 {
-        let root = Frame {
-            id: 0,
-            b: narrow_u32(b),
-            e: 0.0,
-        };
-        let root_key = pack_state_1d(root.id, root.b, root.e.to_bits());
-        if self.memo.get(root_key).is_none() {
-            let mut stack = vec![root];
-            while let Some(&top) = stack.last() {
-                let key = pack_state_1d(top.id, top.b, top.e.to_bits());
-                if self.memo.get(key).is_some() {
-                    // A sibling dependency chain already solved it.
-                    stack.pop();
-                    continue;
-                }
-                match self.try_solve(top) {
-                    Ok(entry) => {
-                        self.memo.insert(key, entry);
-                        stack.pop();
-                    }
-                    Err(missing) => stack.push(missing),
-                }
-            }
-        }
-        self.memo
-            .get(root_key)
-            // The loop above terminates only once the root is memoized.
-            // wsyn: allow(no-panic)
-            .expect("solve loop memoizes the root state")
-            .value
+        self.memo_value(0, b, 0.0)
     }
 
     /// Re-walks the memoized decisions to emit the retained coefficient
@@ -644,5 +545,41 @@ impl Kernel<'_> {
                 out.push(slot);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    use super::super::MinMaxErr;
+    use crate::ErrorMetric;
+
+    /// The recursion nests one solve per memoized level, `log2 N - 1`
+    /// deep (module docs): at `N = 2^14` the default kernel fits a
+    /// 256 KiB thread stack and returns the same bits there as on the
+    /// test thread.
+    #[test]
+    fn recursion_fits_a_small_stack() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let data: Vec<f64> = (0..1 << 14)
+            .map(|_| f64::from(rng.gen_range(-500i32..=500)))
+            .collect();
+        let solver = MinMaxErr::new(&data).unwrap();
+        let run = || {
+            let r = solver.run(12, ErrorMetric::absolute());
+            (r.objective.to_bits(), r.synopsis.indices())
+        };
+        let here = run();
+        let small = std::thread::scope(|scope| {
+            std::thread::Builder::new()
+                .stack_size(256 << 10)
+                .spawn_scoped(scope, run)
+                .expect("spawn a small-stack thread")
+                .join()
+                .expect("the small-stack run completes")
+        });
+        assert_eq!(small, here);
     }
 }

@@ -19,10 +19,10 @@
 //!   equal `e` are *identical* subproblems and collapse into one state.
 //!   This is a pure deduplication of the paper's table (never more states,
 //!   often far fewer) and is also precisely the state the paper itself uses
-//!   for its multi-dimensional DPs in §3.2. Runs as an iterative
-//!   (explicit-stack) kernel with certified-lossless branch-and-bound
-//!   pruning, and can reuse its memo across runs via [`DedupWorkspace`]
-//!   (see [`MinMaxErr::run_warm`]).
+//!   for its multi-dimensional DPs in §3.2. Runs as a recursive kernel
+//!   (one nested solve per memoized level) with certified-lossless
+//!   branch-and-bound pruning, and can reuse its memo across runs via
+//!   [`DedupWorkspace`] (see [`MinMaxErr::run_warm`]).
 //! * [`Engine::DedupExhaustive`] — the same kernel with pruning disabled;
 //!   ablation baseline asserting the pruned kernel's losslessness.
 //! * [`Engine::SubsetMask`] — the paper-faithful formulation, memoizing on
@@ -75,7 +75,7 @@ pub enum Engine {
     /// (default; fastest).
     #[default]
     Dedup,
-    /// The same iterative kernel as [`Engine::Dedup`] with pruning
+    /// The same recursive kernel as [`Engine::Dedup`] with pruning
     /// disabled — the ablation baseline certifying that pruning is
     /// lossless (identical objectives, synopses, and memo entries).
     DedupExhaustive,
@@ -298,11 +298,15 @@ impl MinMaxErr {
 
     /// Runs the DP with an explicit engine/split configuration.
     ///
+    /// Any budget is accepted: one of `N` or more keeps every coefficient
+    /// the optimum needs, so it is clamped to `N` (DESIGN.md §9).
+    ///
     /// Debug builds certify every run: the synopsis the trace emits is
     /// reconstructed and its achieved maximum error must equal the DP
     /// objective (Theorem 3.1's equality — the deterministic guarantee
     /// is the *actual* error, not a bound).
     pub fn run_with(&self, b: usize, metric: ErrorMetric, config: Config) -> ThresholdResult {
+        let b = self.clamp_budget(b);
         let tables = self.tables(metric);
         let result = match config.engine {
             Engine::Dedup | Engine::DedupExhaustive => {
@@ -332,7 +336,8 @@ impl MinMaxErr {
     ///
     /// Stats caveat: `states`/`probes` describe the *accumulated*
     /// resident memo and `peak_live` the workspace lifetime peak, not a
-    /// single cold run; `leaf_evals` counts this run only.
+    /// single cold run; `leaf_evals` counts this run only. Budgets are
+    /// clamped to `N` as in [`Self::run_with`].
     pub fn run_warm(
         &self,
         b: usize,
@@ -340,10 +345,21 @@ impl MinMaxErr {
         split: SplitSearch,
         ws: &mut DedupWorkspace,
     ) -> ThresholdResult {
+        let b = self.clamp_budget(b);
         let tables = self.tables(metric);
         let result = dedup::run(&self.tree, &tables, b, split, true, ws);
         self.certify(&result, b, metric);
         result
+    }
+
+    /// The budget every engine runs: `b` clamped to the coefficient
+    /// count `N`. A subtree whose budget reaches its own coefficient
+    /// count can keep all of them, so its value, keep decision and
+    /// leftmost split stop changing (DESIGN.md §9): the clamp moves no
+    /// objective bit or retained coefficient. It also bounds every
+    /// budget by `N < 2^32`, which memo keys and `BottomUp` rows need.
+    fn clamp_budget(&self, b: usize) -> usize {
+        b.min(self.tree.n())
     }
 
     /// Debug-build certification shared by every run path: the synopsis
@@ -415,15 +431,47 @@ where
     F: Fn(&mut C, usize) -> V,
     G: Fn(&mut C, usize) -> V,
 {
+    best_split_above(ctx, budget, split, None, f, g)
+}
+
+/// [`best_split`] with an optional `floor`: a lower bound on
+/// `max(f(b'), g(b'))` valid for *every* allotment. Once the incumbent
+/// reaches it, no other allotment can be strictly better, so `Linear`
+/// stops scanning and `Binary` skips its `lo - 1` refinement. Both cuts
+/// return the exact `(value, b')` pair the search without a floor
+/// returns: only strict improvements move the incumbent, and the
+/// leftmost refinement still runs (the floor certifies that `best` is
+/// optimal, not that it is leftmost). The pruned `Dedup` kernel passes
+/// its branch's admissible bound (DESIGN.md §9).
+#[inline]
+pub(crate) fn best_split_above<C, V, F, G>(
+    ctx: &mut C,
+    budget: usize,
+    split: SplitSearch,
+    floor: Option<V>,
+    f: F,
+    g: G,
+) -> (V, usize)
+where
+    V: PartialOrd + Copy,
+    F: Fn(&mut C, usize) -> V,
+    G: Fn(&mut C, usize) -> V,
+{
+    let reached = |best: V| floor.is_some_and(|fl| best <= fl);
     match split {
         SplitSearch::Linear => {
             let mut best = vmax(f(ctx, 0), g(ctx, 0));
             let mut best_b = 0usize;
-            for bp in 1..=budget {
-                let v = vmax(f(ctx, bp), g(ctx, bp));
-                if v < best {
-                    best = v;
-                    best_b = bp;
+            if !reached(best) {
+                for bp in 1..=budget {
+                    let v = vmax(f(ctx, bp), g(ctx, bp));
+                    if v < best {
+                        best = v;
+                        best_b = bp;
+                        if reached(best) {
+                            break;
+                        }
+                    }
                 }
             }
             (best, best_b)
@@ -443,7 +491,7 @@ where
             }
             let mut best = vmax(f(ctx, lo), g(ctx, lo));
             let mut best_b = lo;
-            if lo > 0 {
+            if lo > 0 && !reached(best) {
                 let v = vmax(f(ctx, lo - 1), g(ctx, lo - 1));
                 if v < best {
                     best = v;
@@ -710,6 +758,42 @@ mod tests {
                                 config.id()
                             );
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Budgets of `N` or more are clamped to `N`: every `Config::ALL`
+    /// twin, and the warm kernel, returns the objective bits and retained
+    /// set of `b = N` at `b = N + 1` and at `b = 2^32 + 1`, a budget no
+    /// `u32` memo key or `BottomUp` row could hold unclamped.
+    #[test]
+    fn budgets_beyond_n_match_budget_n() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(32);
+        for n in [1usize, 2, 8, 16] {
+            for _ in 0..4 {
+                let data: Vec<f64> = (0..n)
+                    .map(|_| f64::from(rng.gen_range(-9i32..=9)))
+                    .collect();
+                let solver = MinMaxErr::new(&data).unwrap();
+                for metric in [ErrorMetric::absolute(), ErrorMetric::relative(2.0)] {
+                    let bits = |r: ThresholdResult| (r.objective.to_bits(), r.synopsis.indices());
+                    let want = bits(solver.run_with(n, metric, Config::ALL[0]));
+                    for b in [n, n + 1, (1usize << 32) + 1] {
+                        for config in Config::ALL {
+                            assert_eq!(
+                                bits(solver.run_with(b, metric, config)),
+                                want,
+                                "{data:?} b={b} {metric:?} {}",
+                                config.id()
+                            );
+                        }
+                        let mut ws = DedupWorkspace::new();
+                        let warm = solver.run_warm(b, metric, SplitSearch::Binary, &mut ws);
+                        assert_eq!(bits(warm), want, "{data:?} b={b} {metric:?} warm");
                     }
                 }
             }

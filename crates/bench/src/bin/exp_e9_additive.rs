@@ -52,7 +52,7 @@ fn main() {
                 f(r.true_objective),
                 f(deviation),
                 f(guarantee),
-                r.states.to_string(),
+                r.stats.states.to_string(),
                 f(ms),
             ]);
         }

@@ -529,6 +529,22 @@ mod tests {
             assert_eq!(doc.algorithm, algo);
             // Baselines carry no guarantee, so none is persisted.
             assert!(doc.objective.is_none());
+            // A budget past N is clamped, not packed into the DP's unit
+            // budget `b·q` (5e9 × q overflows u32).
+            dispatch(&v(&[
+                "build",
+                "--input",
+                &data_path,
+                "--budget",
+                "5000000000",
+                "--metric",
+                "rel:1",
+                "--algo",
+                algo,
+                "--out",
+                &syn_path,
+            ]))
+            .unwrap();
         }
         // The GG baselines are relative-error algorithms; absolute is
         // rejected through the uniform interface rather than mis-served.

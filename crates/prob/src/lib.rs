@@ -357,12 +357,14 @@ impl MinRelVar {
 
     /// Computes the fractional-storage assignment for budget `b`, with
     /// fractional storage quantized to multiples of `1/q` and relative
-    /// error sanity bound `sanity`.
+    /// error sanity bound `sanity`. A budget past `N` is clamped to `N`:
+    /// no coefficient's storage exceeds 1, and the DP's unit budget `b·q`
+    /// must stay a table index.
     pub fn assign(&self, b: usize, q: usize, sanity: f64) -> ProbAssignment {
         run_prob_dp(
             &self.tree,
             &self.data,
-            b,
+            b.min(self.data.len()),
             q,
             sanity,
             // Variance contribution: c²(1/y − 1); dropped -> c².
@@ -407,8 +409,11 @@ impl MinRelBias {
     /// Computes the fractional-storage assignment for budget `b`
     /// (quantization `1/q`, sanity bound `sanity`), minimizing maximum
     /// normalized bias: dropped coefficients contribute `|c|`, assigned
-    /// ones are unbiased.
+    /// ones are unbiased. A budget past `N` is clamped to `N`, as in
+    /// [`MinRelVar::assign`]; the DP and the leftover top-up both spend
+    /// `b·q` units.
     pub fn assign(&self, b: usize, q: usize, sanity: f64) -> ProbAssignment {
+        let b = b.min(self.data.len());
         let a = run_prob_dp(
             &self.tree,
             &self.data,
@@ -663,6 +668,33 @@ mod tests {
         let a = mrv.assign(1, 4, 1.0);
         assert_eq!(a.entries().len(), 1);
         assert_eq!(a.entries()[0], (0, 1.0, 5.0));
+    }
+
+    #[test]
+    fn budgets_past_n_assign_as_n() {
+        let n = EXAMPLE.len();
+        let mrv = MinRelVar::new(&EXAMPLE).unwrap();
+        let mrb = MinRelBias::new(&EXAMPLE).unwrap();
+        let fields = |a: &ProbAssignment| {
+            let entries: Vec<_> = a
+                .entries()
+                .iter()
+                .map(|&(j, y, c)| (j, y.to_bits(), c.to_bits()))
+                .collect();
+            (entries, a.dp_stats())
+        };
+        for b in [n + 1, 5_000_000_000] {
+            assert_eq!(
+                fields(&mrv.assign(b, DEFAULT_Q, 1.0)),
+                fields(&mrv.assign(n, DEFAULT_Q, 1.0)),
+                "minrelvar b={b}"
+            );
+            assert_eq!(
+                fields(&mrb.assign(b, DEFAULT_Q, 1.0)),
+                fields(&mrb.assign(n, DEFAULT_Q, 1.0)),
+                "minrelbias b={b}"
+            );
+        }
     }
 
     #[test]

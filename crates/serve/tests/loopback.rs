@@ -175,6 +175,13 @@ fn oversized_budget_builds_and_the_shard_keeps_answering() {
         fields(&build),
         (lib.objective.to_bits(), lib.synopsis.indices())
     );
+    // The probabilistic baselines are not serveable for dynamic columns:
+    // a huge minrelvar budget gets the typed refusal before any DP runs,
+    // and the shard keeps answering.
+    let refused = client
+        .build_with_family("huge", 5_000_000_000, "rel:1", "minrelvar", false)
+        .expect_err("minrelvar is refused for dynamic columns");
+    assert!(refused.contains("not serveable"), "{refused}");
     let build = client
         .build("other", 6, "abs", false)
         .expect("the shard still answers");

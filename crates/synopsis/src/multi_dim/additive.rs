@@ -18,13 +18,13 @@
 //! errors are ≥ 1 — integer-valued data (frequency counts, OLAP measures)
 //! already is.
 
-use wsyn_core::{is_zero, narrow_u32, DpStats, RowArena, RowId, StateTable};
-use wsyn_haar::nd::{NdArray, NodeChildren, NodeCoeff};
-use wsyn_haar::{ErrorTreeNd, HaarError, NodeRef};
+use wsyn_core::{narrow_u32, DpWorkspace};
+use wsyn_haar::nd::NdArray;
+use wsyn_haar::{ErrorTreeNd, HaarError};
 
+use super::kernel::{self, ErrorDomain};
 use super::{NdThresholdResult, MAX_DIMS};
 use crate::metric::ErrorMetric;
-use crate::one_dim::{best_split, SplitSearch};
 use crate::synopsis::SynopsisNd;
 
 /// Rounds `v` down (towards `-∞`) to the nearest value in
@@ -101,271 +101,46 @@ impl AdditiveScheme {
         eps_step: f64,
     ) -> NdThresholdResult {
         assert!(eps_step > 0.0, "eps_step must be positive");
-        let denom: Vec<f64> = self.data.iter().map(|&v| metric.denom(v)).collect();
-        let mut solver = Solver {
-            tree: &self.tree,
-            denom,
-            b,
+        let dom = Rounded {
+            coeffs: self.tree.coeffs().data(),
+            denom: self.data.iter().map(|&v| metric.denom(v)).collect(),
             eps: eps_step,
-            memo: StateTable::new(),
-            arena: RowArena::new(),
-            states: 0,
-            leaf_evals: 0,
         };
-        let mut retained = Vec::new();
-        // Root: single average coefficient, contribution sign +1 to its one
-        // child subtree (the whole domain).
-        let avg = self.tree.root_average();
-        let (dp_objective, keep_avg, child_budget) = match self.tree.root_children() {
-            NodeChildren::Cells(cells) => {
-                // Degenerate 1-cell domain.
-                let cell = cells[0];
-                let drop_val = avg.abs() / solver.denom[cell];
-                if b >= 1 && !is_zero(avg) {
-                    (0.0, true, 0)
-                } else {
-                    (drop_val, false, 0)
-                }
-            }
-            NodeChildren::Nodes(nodes) => {
-                let top = nodes[0];
-                let drop_row = solver.node_row(top, round_eps(avg, eps_step));
-                let drop_val = solver.arena.values(drop_row)[b];
-                let keep_val = if b >= 1 && !is_zero(avg) {
-                    let keep_row = solver.node_row(top, 0.0);
-                    solver.arena.values(keep_row)[b - 1]
-                } else {
-                    f64::INFINITY
-                };
-                if keep_val < drop_val {
-                    (keep_val, true, b - 1)
-                } else {
-                    (drop_val, false, b)
-                }
-            }
-        };
-        if keep_avg {
-            retained.push(0usize);
-        }
-        if let NodeChildren::Nodes(nodes) = self.tree.root_children() {
-            let e0 = if keep_avg {
-                0.0
-            } else {
-                round_eps(avg, eps_step)
-            };
-            solver.trace(nodes[0], child_budget, e0, &mut retained);
-        }
-        let synopsis = SynopsisNd::from_positions(&self.tree, &retained);
+        let outcome = kernel::solve(&mut DpWorkspace::new(), &self.tree, &dom, b);
+        let synopsis = SynopsisNd::from_positions(&self.tree, &outcome.retained);
         let true_objective = synopsis.max_error(&self.data, metric);
         NdThresholdResult {
             synopsis,
-            dp_objective,
+            dp_objective: outcome.value,
             true_objective,
-            states: solver.states,
-            stats: solver.stats(),
+            stats: outcome.stats,
         }
     }
 }
 
-struct Solver<'a> {
-    tree: &'a ErrorTreeNd,
+/// The scheme's error domain: the tree's `f64` coefficients, incoming
+/// errors rounded by [`round_eps`] at every node, leaf values
+/// `|e| / denom`.
+struct Rounded<'a> {
+    coeffs: &'a [f64],
     denom: Vec<f64>,
-    b: usize,
     eps: f64,
-    memo: StateTable<RowId>,
-    arena: RowArena<f64>,
-    states: usize,
-    leaf_evals: usize,
 }
 
-impl Solver<'_> {
-    fn stats(&self) -> DpStats {
-        DpStats {
-            states: self.states,
-            leaf_evals: self.leaf_evals,
-            probes: self.memo.probes(),
-            // Arena rows live for the whole solve, so the peak is the
-            // total number of budget cells materialized.
-            peak_live: self.arena.elements(),
-        }
+impl ErrorDomain for Rounded<'_> {
+    type Err = f64;
+    type Val = f64;
+
+    fn coeff(&self, pos: usize) -> f64 {
+        self.coeffs[pos]
     }
 
-    /// Computes (or fetches) the complete budget row for `(node, e)`.
-    fn node_row(&mut self, node: NodeRef, e: f64) -> RowId {
-        let key = node.state_key(e.to_bits());
-        if let Some(&row) = self.memo.get(key) {
-            return row;
-        }
-        let coeffs: Vec<_> = self
-            .tree
-            .node_coeffs(node)
-            .into_iter()
-            .filter(|c| !is_zero(c.value))
-            .collect();
-        let children = self.tree.children(node);
-        let k = coeffs.len();
-        let mut values = vec![f64::INFINITY; self.b + 1];
-        let mut choice = vec![0u32; self.b + 1];
-        for s_mask in 0..(1u32 << k) {
-            let cost = s_mask.count_ones() as usize;
-            if cost > self.b {
-                continue;
-            }
-            let e_children = self.child_errors(e, &coeffs, s_mask, &children);
-            let suffix = self.alloc_suffix(&children, &e_children, self.b - cost);
-            for b in cost..=self.b {
-                let v = suffix[0][b - cost];
-                if v < values[b] {
-                    values[b] = v;
-                    choice[b] = s_mask;
-                }
-            }
-        }
-        self.states += values.len();
-        let row = self.arena.alloc(values, choice);
-        self.memo.insert(key, row);
-        row
+    fn settle(&self, e: f64) -> f64 {
+        round_eps(e, self.eps)
     }
 
-    /// Rounded incoming error for each child quadrant given the retained
-    /// subset `s_mask` of this node's non-zero coefficients.
-    fn child_errors(
-        &self,
-        e: f64,
-        coeffs: &[NodeCoeff],
-        s_mask: u32,
-        children: &NodeChildren,
-    ) -> Vec<f64> {
-        let count = match children {
-            NodeChildren::Nodes(v) => v.len(),
-            NodeChildren::Cells(v) => v.len(),
-        };
-        (0..count)
-            .map(|delta| {
-                let mut ec = e;
-                for (ci, c) in coeffs.iter().enumerate() {
-                    if s_mask >> ci & 1 == 0 {
-                        ec += ErrorTreeNd::child_sign(c.bmask, narrow_u32(delta)) * c.value;
-                    }
-                }
-                round_eps(ec, self.eps)
-            })
-            .collect()
-    }
-
-    /// Suffix allocation tables: `suffix[i][b]` is the minimal max error
-    /// over children `i..` with total budget `≤ b` (the paper's list
-    /// generalization). `suffix[0]` answers the node's query; the full set
-    /// of tables supports traceback.
-    fn alloc_suffix(
-        &mut self,
-        children: &NodeChildren,
-        e_children: &[f64],
-        avail: usize,
-    ) -> Vec<Vec<f64>> {
-        let m = e_children.len();
-        // Child value accessor per (ordinal, budget).
-        let child_vals: Vec<ChildVal> = match children {
-            NodeChildren::Nodes(nodes) => nodes
-                .iter()
-                .zip(e_children)
-                .map(|(n, &ec)| ChildVal::Row(self.node_row(*n, ec)))
-                .collect(),
-            NodeChildren::Cells(cells) => {
-                self.leaf_evals += cells.len();
-                cells
-                    .iter()
-                    .zip(e_children)
-                    .map(|(&cell, &ec)| ChildVal::Const(ec.abs() / self.denom[cell]))
-                    .collect()
-            }
-        };
-        let arena = &self.arena;
-        let mut tables: Vec<Vec<f64>> = vec![Vec::new(); m];
-        tables[m - 1] = (0..=avail)
-            .map(|b| child_vals[m - 1].get(arena, b))
-            .collect();
-        for i in (0..m - 1).rev() {
-            let mut row = vec![f64::INFINITY; avail + 1];
-            for (b, slot) in row.iter_mut().enumerate() {
-                let (v, _) = best_split(
-                    &mut (),
-                    b,
-                    SplitSearch::Binary,
-                    |_, bp| child_vals[i].get(arena, bp),
-                    |_, bp| tables[i + 1][b - bp],
-                );
-                *slot = v;
-            }
-            tables[i] = row;
-        }
-        tables
-    }
-
-    /// Emits the retained coefficient positions of the optimal choice at
-    /// `(node, b, e)` and recurses into children with their allotments.
-    fn trace(&mut self, node: NodeRef, b: usize, e: f64, out: &mut Vec<usize>) {
-        let row = self.node_row(node, e);
-        let s_mask = self.arena.choices(row)[b];
-        let coeffs: Vec<_> = self
-            .tree
-            .node_coeffs(node)
-            .into_iter()
-            .filter(|c| !is_zero(c.value))
-            .collect();
-        for (ci, c) in coeffs.iter().enumerate() {
-            if s_mask >> ci & 1 == 1 {
-                out.push(c.pos);
-            }
-        }
-        let cost = s_mask.count_ones() as usize;
-        let children = self.tree.children(node);
-        let e_children = self.child_errors(e, &coeffs, s_mask, &children);
-        let avail = b - cost;
-        let tables = self.alloc_suffix(&children, &e_children, avail);
-        if let NodeChildren::Nodes(nodes) = &children {
-            // Walk the suffix tables extracting each child's allotment.
-            let child_rows: Vec<RowId> = nodes
-                .iter()
-                .zip(&e_children)
-                .map(|(n, &ec)| self.node_row(*n, ec))
-                .collect();
-            let m = nodes.len();
-            let mut budget = avail;
-            for i in 0..m {
-                let bi = if i + 1 == m {
-                    budget
-                } else {
-                    let arena = &self.arena;
-                    let (_, bi) = best_split(
-                        &mut (),
-                        budget,
-                        SplitSearch::Binary,
-                        |_, bp| arena.values(child_rows[i])[bp],
-                        |_, bp| tables[i + 1][budget - bp],
-                    );
-                    bi
-                };
-                self.trace(nodes[i], bi, e_children[i], out);
-                budget -= bi;
-            }
-        }
-        // Cells: nothing below to trace.
-    }
-}
-
-enum ChildVal {
-    Row(RowId),
-    Const(f64),
-}
-
-impl ChildVal {
-    #[inline]
-    fn get(&self, arena: &RowArena<f64>, b: usize) -> f64 {
-        match self {
-            ChildVal::Row(r) => arena.values(*r)[b],
-            ChildVal::Const(v) => *v,
-        }
+    fn leaf(&self, e: f64, cell: usize) -> f64 {
+        e.abs() / self.denom[cell]
     }
 }
 
@@ -624,10 +399,10 @@ mod tests {
         let coarse = s.run_with_step_eps(6, ErrorMetric::absolute(), 0.5);
         let fine = s.run_with_step_eps(6, ErrorMetric::absolute(), 0.01);
         assert!(
-            fine.states >= coarse.states,
+            fine.stats.states >= coarse.stats.states,
             "fine {} vs coarse {}",
-            fine.states,
-            coarse.states
+            fine.stats.states,
+            coarse.stats.states
         );
     }
 }

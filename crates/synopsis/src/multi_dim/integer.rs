@@ -5,12 +5,13 @@
 //! subtree is an integer in `[-R_Z·2^D·log N, +R_Z·2^D·log N]`, so a DP
 //! table `M[j, b, e]` indexed by the *exact* integer incoming error is
 //! finite — of size proportional to `R_Z`, hence pseudo-polynomial. This
-//! module implements that DP (top-down, materializing only reachable `e`
-//! values) and exposes a crate-internal engine reused by the truncated
-//! `(1+ε)` scheme of [`super::oneplus`], which additionally force-retains
-//! all coefficients above a threshold.
+//! module runs that DP on the multi-D kernel (top-down, materializing only
+//! reachable `e` values) with exact `i64` incoming errors, and exposes
+//! [`run_int_dp_in`] to the truncated `(1+ε)` scheme of
+//! [`super::oneplus`], which additionally force-retains all coefficients
+//! above a threshold.
 //!
-//! The primary engine targets **maximum absolute error** (the paper's
+//! The primary DP targets **maximum absolute error** (the paper's
 //! setting for this scheme) with exact integer DP values — no
 //! floating-point comparisons. Per the paper's remark that the
 //! pseudo-polynomial scheme "directly extends to maximum relative-error
@@ -18,32 +19,15 @@
 //! extension: integer incoming errors, float values normalized at the
 //! leaves by `max{|d_i|, s}`.
 
-use wsyn_core::{narrow_u32, DpStats, DpWorkspace, RowArena, RowId, StateTable};
+use wsyn_core::{DpWorkspace, RowId};
 use wsyn_haar::int::{self, ScaledCoeffs};
-use wsyn_haar::nd::{NdArray, NdShape, NodeChildren};
-use wsyn_haar::{ErrorTreeNd, HaarError, NodeRef};
+use wsyn_haar::nd::{NdArray, NdShape};
+use wsyn_haar::{ErrorTreeNd, HaarError};
 
+use super::kernel::{self, DpOutcome, ErrorDomain};
 use super::{NdThresholdResult, MAX_DIMS};
 use crate::metric::ErrorMetric;
-use crate::one_dim::{best_split, SplitSearch};
 use crate::synopsis::SynopsisNd;
-
-/// Sentinel for "infeasible" (e.g. forced retention exceeds the budget).
-/// DP values are never added, only compared, so saturation is safe.
-const INFEASIBLE: i64 = i64::MAX;
-
-/// Outcome of an integer DP run (crate-internal engine).
-pub(crate) struct IntDpOutcome {
-    /// Optimal maximum absolute error in *scaled coefficient units*, or
-    /// `None` when no feasible solution exists.
-    pub value: Option<i64>,
-    /// Retained coefficient positions of the optimum (empty if infeasible).
-    pub retained: Vec<usize>,
-    /// DP states materialized.
-    pub states: usize,
-    /// Unified DP statistics.
-    pub stats: DpStats,
-}
 
 /// Exact optimal absolute-error thresholding via the pseudo-polynomial
 /// integer DP. Intended for small/medium instances and as an optimality
@@ -97,7 +81,7 @@ impl IntegerExact {
     pub fn run(&self, b: usize) -> NdThresholdResult {
         let outcome = run_int_dp(&self.tree, &self.scaled.coeffs, None, b);
         let value = outcome
-            .value
+            .feasible_value()
             // With no forced-keep threshold the empty synopsis is always
             // feasible, so the DP cannot come back infeasible.
             // wsyn: allow(no-panic)
@@ -108,7 +92,6 @@ impl IntegerExact {
             synopsis,
             dp_objective: value as f64 / self.scaled.scale as f64,
             true_objective,
-            states: outcome.states,
             stats: outcome.stats,
         }
     }
@@ -133,233 +116,65 @@ impl IntegerExact {
             .iter()
             .map(|&d| metric.denom(d) * scale)
             .collect();
-        let mut solver = RelSolver {
-            tree: &self.tree,
+        let dom = ExactRelative {
             coeff: &self.scaled.coeffs,
-            denom: &denom,
-            b,
-            memo: StateTable::new(),
-            arena: RowArena::new(),
-            states: 0,
-            leaf_evals: 0,
+            denom,
         };
-        let avg = self.scaled.coeffs[0];
-        let mut retained = Vec::new();
-        let (value, keep_avg, child_budget) = match self.tree.root_children() {
-            NodeChildren::Cells(cells) => {
-                let cell = cells[0];
-                if b >= 1 && avg != 0 {
-                    (0.0, true, 0usize)
-                } else {
-                    (avg.abs() as f64 / denom[cell], false, 0)
-                }
-            }
-            NodeChildren::Nodes(nodes) => {
-                let top = nodes[0];
-                let drop_row = solver.node_row(top, avg);
-                let drop_val = solver.arena.values(drop_row)[b];
-                let keep_val = if b >= 1 && avg != 0 {
-                    let keep_row = solver.node_row(top, 0);
-                    solver.arena.values(keep_row)[b - 1]
-                } else {
-                    f64::INFINITY
-                };
-                if keep_val < drop_val {
-                    (keep_val, true, b - 1)
-                } else {
-                    (drop_val, false, b)
-                }
-            }
-        };
-        if keep_avg {
-            retained.push(0);
-        }
-        if let NodeChildren::Nodes(nodes) = self.tree.root_children() {
-            let e0 = if keep_avg { 0 } else { avg };
-            solver.trace(nodes[0], child_budget, e0, &mut retained);
-        }
-        let synopsis = SynopsisNd::from_positions(&self.tree, &retained);
+        let outcome = kernel::solve(&mut DpWorkspace::new(), &self.tree, &dom, b);
+        let synopsis = SynopsisNd::from_positions(&self.tree, &outcome.retained);
         let true_objective = synopsis.max_error(&self.data_f64, metric);
         NdThresholdResult {
             synopsis,
-            dp_objective: value,
+            dp_objective: outcome.value,
             true_objective,
-            states: solver.states,
-            stats: solver.stats(),
+            stats: outcome.stats,
         }
     }
 }
 
-/// Relative-error variant of the integer DP: exact integer incoming
-/// errors, float DP values (normalized at the leaves).
-struct RelSolver<'a> {
-    tree: &'a ErrorTreeNd,
+/// The exact DP's error domain for absolute error: scaled integer
+/// coefficients (possibly truncated, with a forced set), exact incoming
+/// errors, integer leaf values `|e|`.
+struct Exact<'a> {
     coeff: &'a [i64],
-    /// Per-cell denominator in scaled units.
-    denom: &'a [f64],
-    b: usize,
-    memo: StateTable<RowId>,
-    arena: RowArena<f64>,
-    states: usize,
-    leaf_evals: usize,
+    forced: Option<&'a [bool]>,
 }
 
-impl RelSolver<'_> {
-    fn stats(&self) -> DpStats {
-        DpStats {
-            states: self.states,
-            leaf_evals: self.leaf_evals,
-            probes: self.memo.probes(),
-            peak_live: self.arena.elements(),
-        }
+impl ErrorDomain for Exact<'_> {
+    type Err = i64;
+    type Val = i64;
+
+    fn coeff(&self, pos: usize) -> i64 {
+        self.coeff[pos]
     }
 
-    fn coeffs_of(&self, node: NodeRef) -> Vec<CoeffI> {
-        self.tree
-            .node_coeffs(node)
-            .into_iter()
-            .filter_map(|c| {
-                let v = self.coeff[c.pos];
-                (v != 0).then_some(CoeffI {
-                    bmask: c.bmask,
-                    pos: c.pos,
-                    value: v,
-                    forced: false,
-                })
-            })
-            .collect()
+    fn forced(&self, pos: usize) -> bool {
+        self.forced.is_some_and(|f| f[pos])
     }
 
-    fn node_row(&mut self, node: NodeRef, e: i64) -> RowId {
-        let key = node.state_key(e as u64);
-        if let Some(&row) = self.memo.get(key) {
-            return row;
-        }
-        let coeffs = self.coeffs_of(node);
-        let children = self.tree.children(node);
-        let k = coeffs.len();
-        let mut values = vec![f64::INFINITY; self.b + 1];
-        let mut choice = vec![0u32; self.b + 1];
-        for s_mask in 0..(1u32 << k) {
-            let cost = s_mask.count_ones() as usize;
-            if cost > self.b {
-                continue;
-            }
-            let e_children = child_errors_int(e, &coeffs, s_mask, &children);
-            let suffix = self.alloc_suffix(&children, &e_children, self.b - cost);
-            for b in cost..=self.b {
-                let v = suffix[0][b - cost];
-                if v < values[b] {
-                    values[b] = v;
-                    choice[b] = s_mask;
-                }
-            }
-        }
-        self.states += values.len();
-        let row = self.arena.alloc(values, choice);
-        self.memo.insert(key, row);
-        row
-    }
-
-    fn alloc_suffix(
-        &mut self,
-        children: &NodeChildren,
-        e_children: &[i64],
-        avail: usize,
-    ) -> Vec<Vec<f64>> {
-        let m = e_children.len();
-        let child_vals: Vec<ChildValRel> = match children {
-            NodeChildren::Nodes(nodes) => nodes
-                .iter()
-                .zip(e_children)
-                .map(|(n, &ec)| ChildValRel::Row(self.node_row(*n, ec)))
-                .collect(),
-            NodeChildren::Cells(cells) => {
-                self.leaf_evals += cells.len();
-                cells
-                    .iter()
-                    .zip(e_children)
-                    .map(|(&cell, &ec)| ChildValRel::Const(ec.abs() as f64 / self.denom[cell]))
-                    .collect()
-            }
-        };
-        let arena = &self.arena;
-        let mut tables: Vec<Vec<f64>> = vec![Vec::new(); m];
-        tables[m - 1] = (0..=avail)
-            .map(|b| child_vals[m - 1].get(arena, b))
-            .collect();
-        for i in (0..m - 1).rev() {
-            let mut row = vec![f64::INFINITY; avail + 1];
-            for (b, slot) in row.iter_mut().enumerate() {
-                let (v, _) = best_split(
-                    &mut (),
-                    b,
-                    SplitSearch::Binary,
-                    |_, bp| child_vals[i].get(arena, bp),
-                    |_, bp| tables[i + 1][b - bp],
-                );
-                *slot = v;
-            }
-            tables[i] = row;
-        }
-        tables
-    }
-
-    fn trace(&mut self, node: NodeRef, b: usize, e: i64, out: &mut Vec<usize>) {
-        let row = self.node_row(node, e);
-        let s_mask = self.arena.choices(row)[b];
-        let coeffs = self.coeffs_of(node);
-        for (ci, c) in coeffs.iter().enumerate() {
-            if s_mask >> ci & 1 == 1 {
-                out.push(c.pos);
-            }
-        }
-        let cost = s_mask.count_ones() as usize;
-        let children = self.tree.children(node);
-        let e_children = child_errors_int(e, &coeffs, s_mask, &children);
-        let avail = b - cost;
-        let tables = self.alloc_suffix(&children, &e_children, avail);
-        if let NodeChildren::Nodes(nodes) = &children {
-            let child_rows: Vec<RowId> = nodes
-                .iter()
-                .zip(&e_children)
-                .map(|(n, &ec)| self.node_row(*n, ec))
-                .collect();
-            let m = nodes.len();
-            let mut budget = avail;
-            for i in 0..m {
-                let bi = if i + 1 == m {
-                    budget
-                } else {
-                    let arena = &self.arena;
-                    best_split(
-                        &mut (),
-                        budget,
-                        SplitSearch::Binary,
-                        |_, bp| arena.values(child_rows[i])[bp],
-                        |_, bp| tables[i + 1][budget - bp],
-                    )
-                    .1
-                };
-                self.trace(nodes[i], bi, e_children[i], out);
-                budget -= bi;
-            }
-        }
+    fn leaf(&self, e: i64, _cell: usize) -> i64 {
+        e.abs()
     }
 }
 
-enum ChildValRel {
-    Row(RowId),
-    Const(f64),
+/// The exact DP's error domain for relative error: exact integer
+/// incoming errors, `f64` leaf values `|e| / denom` with the
+/// denominators in scaled units.
+struct ExactRelative<'a> {
+    coeff: &'a [i64],
+    denom: Vec<f64>,
 }
 
-impl ChildValRel {
-    #[inline]
-    fn get(&self, arena: &RowArena<f64>, b: usize) -> f64 {
-        match self {
-            ChildValRel::Row(r) => arena.values(*r)[b],
-            ChildValRel::Const(v) => *v,
-        }
+impl ErrorDomain for ExactRelative<'_> {
+    type Err = i64;
+    type Val = f64;
+
+    fn coeff(&self, pos: usize) -> i64 {
+        self.coeff[pos]
+    }
+
+    fn leaf(&self, e: i64, cell: usize) -> f64 {
+        e.abs() as f64 / self.denom[cell]
     }
 }
 
@@ -373,7 +188,7 @@ pub(crate) fn run_int_dp(
     coeff: &[i64],
     forced: Option<&[bool]>,
     b: usize,
-) -> IntDpOutcome {
+) -> DpOutcome<i64> {
     run_int_dp_in(&mut DpWorkspace::new(), tree, coeff, forced, b)
 }
 
@@ -389,310 +204,8 @@ pub(crate) fn run_int_dp_in(
     coeff: &[i64],
     forced: Option<&[bool]>,
     b: usize,
-) -> IntDpOutcome {
-    ws.clear();
-    let (memo, arena) = ws.split_mut();
-    let mut solver = IntSolver {
-        tree,
-        coeff,
-        forced,
-        b,
-        memo,
-        arena,
-        states: 0,
-        leaf_evals: 0,
-    };
-    let avg = coeff[0];
-    let forced0 = forced.is_some_and(|f| f[0]);
-    let mut retained = Vec::new();
-    let (value, keep_avg, child_budget) = match tree.root_children() {
-        NodeChildren::Cells(cells) => {
-            debug_assert_eq!(cells, vec![0]);
-            let keep_ok = b >= 1 && avg != 0;
-            let drop_ok = !forced0;
-            match (keep_ok, drop_ok) {
-                (true, _) => (0i64, avg != 0 && b >= 1, 0usize),
-                (false, true) => (avg.abs(), false, 0),
-                (false, false) => (INFEASIBLE, false, 0),
-            }
-        }
-        NodeChildren::Nodes(nodes) => {
-            let top = nodes[0];
-            let drop_val = if forced0 {
-                INFEASIBLE
-            } else {
-                let row = solver.node_row(top, avg);
-                solver.arena.values(row)[b]
-            };
-            let keep_val = if b >= 1 && avg != 0 {
-                let row = solver.node_row(top, 0);
-                solver.arena.values(row)[b - 1]
-            } else {
-                INFEASIBLE
-            };
-            if keep_val < drop_val {
-                (keep_val, true, b - 1)
-            } else {
-                (drop_val, false, b)
-            }
-        }
-    };
-    if value == INFEASIBLE {
-        return IntDpOutcome {
-            value: None,
-            retained: Vec::new(),
-            states: solver.states,
-            stats: solver.stats(),
-        };
-    }
-    if keep_avg {
-        retained.push(0);
-    }
-    if let NodeChildren::Nodes(nodes) = tree.root_children() {
-        let e0 = if keep_avg { 0 } else { avg };
-        solver.trace(nodes[0], child_budget, e0, &mut retained);
-    }
-    IntDpOutcome {
-        value: Some(value),
-        retained,
-        states: solver.states,
-        stats: solver.stats(),
-    }
-}
-
-/// A node coefficient in integer form.
-#[derive(Clone, Copy)]
-struct CoeffI {
-    bmask: u32,
-    pos: usize,
-    value: i64,
-    forced: bool,
-}
-
-struct IntSolver<'a> {
-    tree: &'a ErrorTreeNd,
-    coeff: &'a [i64],
-    forced: Option<&'a [bool]>,
-    b: usize,
-    /// Borrowed from the caller's [`DpWorkspace`] so repeated runs
-    /// (τ-sweeps) reuse the allocations.
-    memo: &'a mut StateTable<RowId>,
-    arena: &'a mut RowArena<i64>,
-    states: usize,
-    leaf_evals: usize,
-}
-
-impl IntSolver<'_> {
-    fn stats(&self) -> DpStats {
-        DpStats {
-            states: self.states,
-            leaf_evals: self.leaf_evals,
-            probes: self.memo.probes(),
-            peak_live: self.arena.elements(),
-        }
-    }
-
-    /// Non-zero integer coefficients of a node (zero coefficients are never
-    /// retained and contribute nothing when dropped).
-    fn coeffs_of(&self, node: NodeRef) -> Vec<CoeffI> {
-        self.tree
-            .node_coeffs(node)
-            .into_iter()
-            .filter_map(|c| {
-                let v = self.coeff[c.pos];
-                let forced = self.forced.is_some_and(|f| f[c.pos]);
-                // A forced coefficient must survive the filter even if its
-                // truncated value is zero (retention is about the original
-                // magnitude, not the scaled-down one).
-                if v != 0 || forced {
-                    Some(CoeffI {
-                        bmask: c.bmask,
-                        pos: c.pos,
-                        value: v,
-                        forced,
-                    })
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-
-    fn node_row(&mut self, node: NodeRef, e: i64) -> RowId {
-        let key = node.state_key(e as u64);
-        if let Some(&row) = self.memo.get(key) {
-            return row;
-        }
-        let coeffs = self.coeffs_of(node);
-        let children = self.tree.children(node);
-        let k = coeffs.len();
-        let forced_mask: u32 = coeffs
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.forced)
-            .map(|(i, _)| 1u32 << i)
-            .sum();
-        let mut values = vec![INFEASIBLE; self.b + 1];
-        let mut choice = vec![0u32; self.b + 1];
-        for s_mask in 0..(1u32 << k) {
-            if s_mask & forced_mask != forced_mask {
-                continue; // must retain every forced coefficient
-            }
-            let cost = s_mask.count_ones() as usize;
-            if cost > self.b {
-                continue;
-            }
-            let e_children = child_errors_int(e, &coeffs, s_mask, &children);
-            let suffix = self.alloc_suffix(&children, &e_children, self.b - cost);
-            for b in cost..=self.b {
-                let v = suffix[0][b - cost];
-                if v < values[b] {
-                    values[b] = v;
-                    choice[b] = s_mask;
-                }
-            }
-        }
-        self.states += values.len();
-        let row = self.arena.alloc(values, choice);
-        self.memo.insert(key, row);
-        row
-    }
-
-    fn alloc_suffix(
-        &mut self,
-        children: &NodeChildren,
-        e_children: &[i64],
-        avail: usize,
-    ) -> Vec<Vec<i64>> {
-        let m = e_children.len();
-        let child_vals: Vec<ChildValI> = match children {
-            NodeChildren::Nodes(nodes) => nodes
-                .iter()
-                .zip(e_children)
-                .map(|(n, &ec)| ChildValI::Row(self.node_row(*n, ec)))
-                .collect(),
-            NodeChildren::Cells(_) => {
-                self.leaf_evals += e_children.len();
-                e_children
-                    .iter()
-                    .map(|&ec| ChildValI::Const(ec.abs()))
-                    .collect()
-            }
-        };
-        let arena = &self.arena;
-        let mut tables: Vec<Vec<i64>> = vec![Vec::new(); m];
-        tables[m - 1] = (0..=avail)
-            .map(|b| child_vals[m - 1].get(arena, b))
-            .collect();
-        for i in (0..m - 1).rev() {
-            let mut row = vec![INFEASIBLE; avail + 1];
-            for (b, slot) in row.iter_mut().enumerate() {
-                let (v, _) = best_split(
-                    &mut (),
-                    b,
-                    SplitSearch::Binary,
-                    |_, bp| child_vals[i].get(arena, bp),
-                    |_, bp| tables[i + 1][b - bp],
-                );
-                *slot = v;
-            }
-            tables[i] = row;
-        }
-        tables
-    }
-
-    fn trace(&mut self, node: NodeRef, b: usize, e: i64, out: &mut Vec<usize>) {
-        let row = self.node_row(node, e);
-        debug_assert_ne!(
-            self.arena.values(row)[b],
-            INFEASIBLE,
-            "tracing infeasible state"
-        );
-        let s_mask = self.arena.choices(row)[b];
-        let coeffs = self.coeffs_of(node);
-        for (ci, c) in coeffs.iter().enumerate() {
-            if s_mask >> ci & 1 == 1 {
-                out.push(c.pos);
-            }
-        }
-        let cost = s_mask.count_ones() as usize;
-        let children = self.tree.children(node);
-        let e_children = child_errors_int(e, &coeffs, s_mask, &children);
-        let avail = b - cost;
-        let tables = self.alloc_suffix(&children, &e_children, avail);
-        if let NodeChildren::Nodes(nodes) = &children {
-            let child_rows: Vec<RowId> = nodes
-                .iter()
-                .zip(&e_children)
-                .map(|(n, &ec)| self.node_row(*n, ec))
-                .collect();
-            let m = nodes.len();
-            let mut budget = avail;
-            for i in 0..m {
-                let bi = if i + 1 == m {
-                    budget
-                } else {
-                    let arena = &self.arena;
-                    best_split(
-                        &mut (),
-                        budget,
-                        SplitSearch::Binary,
-                        |_, bp| arena.values(child_rows[i])[bp],
-                        |_, bp| tables[i + 1][budget - bp],
-                    )
-                    .1
-                };
-                self.trace(nodes[i], bi, e_children[i], out);
-                budget -= bi;
-            }
-        }
-    }
-}
-
-/// Integer incoming error for each child quadrant.
-fn child_errors_int(e: i64, coeffs: &[CoeffI], s_mask: u32, children: &NodeChildren) -> Vec<i64> {
-    let count = match children {
-        NodeChildren::Nodes(v) => v.len(),
-        NodeChildren::Cells(v) => v.len(),
-    };
-    (0..count)
-        .map(|delta| {
-            let mut ec = e;
-            for (ci, c) in coeffs.iter().enumerate() {
-                if s_mask >> ci & 1 == 0 {
-                    let signed = if ErrorTreeNd::child_sign(c.bmask, narrow_u32(delta)) > 0.0 {
-                        c.value
-                    } else {
-                        -c.value
-                    };
-                    ec = ec
-                        .checked_add(signed)
-                        // The scaled-coefficient domain bound (checked at
-                        // transform time) keeps every path sum inside i64;
-                        // overflow here means corrupted inputs, not a
-                        // recoverable state.
-                        // wsyn: allow(no-panic)
-                        .expect("integer error accumulation overflow");
-                }
-            }
-            ec
-        })
-        .collect()
-}
-
-enum ChildValI {
-    Row(RowId),
-    Const(i64),
-}
-
-impl ChildValI {
-    #[inline]
-    fn get(&self, arena: &RowArena<i64>, b: usize) -> i64 {
-        match self {
-            ChildValI::Row(r) => arena.values(*r)[b],
-            ChildValI::Const(v) => *v,
-        }
-    }
+) -> DpOutcome<i64> {
+    kernel::solve(ws, tree, &Exact { coeff, forced }, b)
 }
 
 #[cfg(test)]
@@ -789,7 +302,7 @@ mod tests {
         // Infeasible when the budget cannot hold the forced set.
         let forced_all = vec![true; 16];
         let out = run_int_dp(&solver.tree, coeffs, Some(&forced_all), 3);
-        assert!(out.value.is_none());
+        assert!(out.feasible_value().is_none());
     }
 
     #[test]
@@ -897,7 +410,7 @@ mod warm_sweep_tests {
                 let cold = run_int_dp(&solver.tree, &truncated, Some(&forced), b);
                 prop_assert_eq!(warm.value, cold.value, "k={} b={}", k, b);
                 prop_assert_eq!(warm.retained, cold.retained, "k={} b={}", k, b);
-                prop_assert_eq!(warm.states, cold.states, "k={} b={}", k, b);
+                prop_assert_eq!(warm.stats.states, cold.stats.states, "k={} b={}", k, b);
                 prop_assert_eq!(
                     warm.stats.leaf_evals,
                     cold.stats.leaf_evals,
@@ -924,7 +437,7 @@ mod warm_sweep_tests {
                 .map(|k| {
                     let (t, f) = tau_instance(&solver, 0.25, k);
                     let o = run_int_dp_in(&mut ws_up, &solver.tree, &t, Some(&f), b);
-                    (o.value, o.retained, o.states)
+                    (o.value, o.retained, o.stats.states)
                 })
                 .collect();
             let down: Vec<_> = (0..=kmax)
@@ -932,7 +445,7 @@ mod warm_sweep_tests {
                 .map(|k| {
                     let (t, f) = tau_instance(&solver, 0.25, k);
                     let o = run_int_dp_in(&mut ws_down, &solver.tree, &t, Some(&f), b);
-                    (o.value, o.retained, o.states)
+                    (o.value, o.retained, o.stats.states)
                 })
                 .collect();
             let down_reversed: Vec<_> = down.into_iter().rev().collect();

@@ -21,12 +21,27 @@
 //!   coefficient magnitude `R_Z`); usable as an optimality oracle whenever
 //!   `R_Z` is small.
 //!
-//! All three share the paper's "list" generalization for distributing a
-//! node's budget among its `2^D` children with an `O(log B)` search per
-//! split instead of the naive `O(B^{2^D})` enumeration.
+//! All three run one dynamic program, the crate-internal `kernel`: rows
+//! `M[node, b, e]` memoized by node and incoming error, an enumeration of
+//! each node's retained coefficient subsets, and the paper's "list"
+//! generalization for distributing a node's budget among its `2^D`
+//! children with an `O(log B)` search per split instead of the naive
+//! `O(B^{2^D})` enumeration. They differ only in the kernel's error domain:
+//!
+//! * the additive scheme: `f64` errors rounded by
+//!   [`additive::round_eps`] as they enter each subtree, `f64` values
+//!   `|e| / denom`;
+//! * the exact DP for absolute error (also each τ of the `(1+ε)` sweep,
+//!   with truncated coefficients and a forced set): exact `i64` errors,
+//!   `i64` values `|e|`;
+//! * the exact DP for relative error: exact `i64` errors, `f64` values
+//!   `|e| / denom` with the denominators in scaled units.
+//!
+//! Budgets past the number of cells `N` solve as `N`.
 
 pub mod additive;
 pub mod integer;
+mod kernel;
 pub mod oneplus;
 
 use wsyn_core::DpStats;
@@ -46,11 +61,8 @@ pub struct NdThresholdResult {
     /// original data. This is the number the guarantees of Theorems 3.2
     /// and 3.4 bound.
     pub true_objective: f64,
-    /// Number of `(node, budget-row, incoming-error)` DP states
-    /// materialized (kept alongside `stats.states` for backwards
-    /// compatibility; always equal to it).
-    pub states: usize,
-    /// The unified workspace-wide DP statistics block.
+    /// The unified workspace-wide DP statistics block; `states` counts the
+    /// `(node, budget, incoming-error)` cells materialized.
     pub stats: DpStats,
 }
 

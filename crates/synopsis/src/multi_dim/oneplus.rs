@@ -220,7 +220,6 @@ impl OnePlusEps {
                     synopsis,
                     dp_objective: 0.0,
                     true_objective: 0.0,
-                    states: 0,
                     stats: DpStats::default(),
                 },
                 Vec::new(),
@@ -283,7 +282,6 @@ impl OnePlusEps {
                 synopsis,
                 dp_objective,
                 true_objective,
-                states: stats.states,
                 stats,
             },
             reports,
@@ -325,13 +323,13 @@ impl OnePlusEps {
             .map(|&c| (c as f64 / k_tau).floor() as i64)
             .collect();
         let outcome = run_int_dp_in(ws, &self.tree, &truncated, Some(&forced), b);
-        let Some(dp_val) = outcome.value else {
+        let Some(dp_val) = outcome.feasible_value() else {
             return TauOutcome {
                 report: TauReport {
                     tau,
                     forced: forced_count,
                     true_objective: None,
-                    states: outcome.states,
+                    states: outcome.stats.states,
                 },
                 selected: None,
                 stats: outcome.stats,
@@ -345,7 +343,7 @@ impl OnePlusEps {
                 tau,
                 forced: forced_count,
                 true_objective: Some(true_err),
-                states: outcome.states,
+                states: outcome.stats.states,
             },
             selected: Some((true_err, outcome.retained, dp_in_data_units)),
             stats: outcome.stats,

@@ -17,7 +17,7 @@
 //! | `atomic-ordering` | every atomic op names its `Ordering` and justifies it with `// ORDERING:` |
 //! | `mutex-poison` | solver-crate `Mutex` locks use `.lock().unwrap_or_else(PoisonError::into_inner)` |
 //! | `unsafe-caller` | calls to unambiguously-`unsafe` fns need their own `// SAFETY:` comment |
-//! | `threshold-surface` | solver crates must not define `threshold_*` fns outside the `Thresholder` trait surface — new knobs ride on `RunParams`/`FamilyParams` |
+//! | `threshold-surface` | solver crates must not define `threshold_*` fns outside the `Thresholder` trait surface — new knobs ride on `RunParams` |
 //!
 //! The first six are token rules from PR 2; the rest ride the PR 7
 //! parse tree ([`crate::parse`]) and call graph ([`crate::callgraph`]).
@@ -77,7 +77,7 @@ pub enum Rule {
     /// `// SAFETY:` comment.
     UnsafeCaller,
     /// R13: solver-crate `fn threshold_*` defined outside the
-    /// [`Thresholder`] trait surface.
+    /// `Thresholder` trait surface.
     ThresholdSurface,
 }
 
@@ -181,9 +181,8 @@ impl Rule {
             }
             Rule::ThresholdSurface => {
                 "fn named threshold_* defined outside the Thresholder trait \
-                 surface (threshold, threshold_with, threshold_reusing, \
-                 threshold_with_reusing); new knobs ride on RunParams / \
-                 FamilyParams, not on new entry points"
+                 surface (threshold, threshold_with, threshold_with_reusing); \
+                 new knobs ride on RunParams, not on new entry points"
             }
         }
     }
@@ -606,12 +605,7 @@ pub const THRESHOLD_SURFACE_OWNER: &str = "crates/synopsis/src/thresholder.rs";
 
 /// The sanctioned `threshold_*` names — the `Thresholder` trait surface
 /// (rule `threshold-surface`).
-const THRESHOLD_SURFACE_FNS: &[&str] = &[
-    "threshold",
-    "threshold_with",
-    "threshold_reusing",
-    "threshold_with_reusing",
-];
+const THRESHOLD_SURFACE_FNS: &[&str] = &["threshold", "threshold_with", "threshold_with_reusing"];
 
 /// Atomic RMW methods whose names are unambiguous: a call without a
 /// visible `Ordering` argument is a missing ordering.
@@ -792,7 +786,7 @@ pub fn check_ast(rel_path: &str, src: &str) -> Vec<Diagnostic> {
                 format!(
                     "`fn {}` adds a threshold_* entry point outside the \
                      Thresholder trait; route new knobs through RunParams \
-                     (FamilyParams) on threshold_with",
+                     on threshold_with",
                     f.name
                 ),
             );

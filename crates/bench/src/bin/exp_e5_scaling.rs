@@ -3,16 +3,14 @@
 //! Measures wall-clock time of the default engine across an `N` sweep
 //! (fixed `B`) and a `B` sweep (fixed `N`), reporting the empirical growth
 //! ratios (the `N` sweep should grow ≈4× per doubling, i.e. quadratically;
-//! the `B` sweep ≈ linearly up to the `log B` factor). A warm-workspace
-//! descending `B` sweep shows the cross-run memo reuse payoff. Also
-//! compares the four engines and the two split-search strategies on a
+//! the `B` sweep ≈ linearly up to the `log B` factor). Also compares the four engines and the two split-search strategies on a
 //! fixed instance, including their DP state counts (the dedup-vs-subset
 //! ratio quantifies how much incoming-error merging saves; the
 //! Dedup-vs-DedupExhaustive ratio quantifies branch-and-bound pruning).
 
 use wsyn_bench::{f, md_table, timed};
 use wsyn_datagen::{zipf, ZipfPlacement};
-use wsyn_synopsis::one_dim::{Config, DedupWorkspace, Engine, MinMaxErr, SplitSearch};
+use wsyn_synopsis::one_dim::{Config, Engine, MinMaxErr, SplitSearch};
 use wsyn_synopsis::ErrorMetric;
 
 fn main() {
@@ -62,38 +60,6 @@ fn main() {
         prev = Some(ms);
     }
     md_table(&["B", "time (ms)", "vs previous", "DP states"], &rows);
-
-    println!("\n### warm-workspace descending B sweep (N = 256)\n");
-    // Same instance as the cold sweep above; budgets descend so every later
-    // (smaller) budget is answered almost entirely out of the warm memo.
-    let mut ws = DedupWorkspace::new();
-    let mut rows = Vec::new();
-    for b in [32usize, 16, 8, 4] {
-        let (warm, warm_ms) = timed(|| solver.run_warm(b, metric, SplitSearch::Binary, &mut ws));
-        let (cold, cold_ms) = timed(|| solver.run(b, metric));
-        assert!(
-            warm.objective.to_bits() == cold.objective.to_bits(),
-            "warm/cold divergence at b={b}"
-        );
-        rows.push(vec![
-            b.to_string(),
-            f(warm_ms),
-            f(cold_ms),
-            warm.stats.states.to_string(),
-            warm.stats.peak_live.to_string(),
-        ]);
-    }
-    md_table(
-        &[
-            "B",
-            "warm time (ms)",
-            "cold time (ms)",
-            "resident states",
-            "lifetime peak_live",
-        ],
-        &rows,
-    );
-    println!("\nwarm sweep objectives are bit-identical to cold runs  ✓");
 
     println!("\n### engine & split ablation (N = 128, B = 10)\n");
     let data = zipf(128, 1.0, 100_000.0, ZipfPlacement::Shuffled, 5);

@@ -11,12 +11,8 @@
 //! The budgets of a sweep are independent DP runs over shared immutable
 //! solvers, so each budget row is one item on the process-wide
 //! [`Pool`] (`wsyn_core::Pool`), whose `map_indexed` returns rows in
-//! budget order, keeping the output deterministic. When the pool
-//! resolves to a single thread (1-CPU host, `WSYN_POOL_THREADS=1`, or
-//! the min-work floor), the sweep instead runs sequentially through one
-//! warm `DedupWorkspace` — larger budgets seed the memo for smaller
-//! ones. Both modes produce identical numbers (warm reuse is bitwise
-//! lossless).
+//! budget order, keeping the output deterministic (on one thread it
+//! runs the rows inline, in order).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,7 +21,7 @@ use wsyn_core::Pool;
 use wsyn_haar::ErrorTree1d;
 use wsyn_prob::{MinRelBias, MinRelVar};
 use wsyn_synopsis::greedy::greedy_l2_1d;
-use wsyn_synopsis::one_dim::{DedupWorkspace, MinMaxErr, SplitSearch};
+use wsyn_synopsis::one_dim::MinMaxErr;
 use wsyn_synopsis::ErrorMetric;
 
 fn main() {
@@ -37,42 +33,17 @@ fn main() {
     let budgets = [8usize, 16, 24, 32];
 
     let pool = Pool::new();
-    let parallel = pool.is_parallel_for(budgets.len());
     println!("## E6 — max relative error vs budget (N = {n}, sanity s = {sanity})\n");
-    println!(
-        "sweep mode: {} (pool threads = {})\n",
-        if parallel {
-            "parallel budget rows"
-        } else {
-            "sequential warm-workspace"
-        },
-        pool.threads_for(budgets.len())
-    );
     for (name, data) in workloads_1d(n) {
         println!("### workload: {name}\n");
         let tree = ErrorTree1d::from_data(&data).unwrap();
         let det = MinMaxErr::new(&data).unwrap();
         let mrv = MinRelVar::new(&data).unwrap();
         let mrb = MinRelBias::new(&data).unwrap();
-        let rows: Vec<Vec<String>> = if parallel {
-            pool.map_indexed(budgets.to_vec(), |_, b| {
-                let opt = det.run(b, metric).objective;
-                budget_row(b, opt, &tree, &data, metric, q, sanity, draws, &mrv, &mrb)
-            })
-        } else {
-            // One warm memo serves the whole sweep; each budget after the
-            // first is answered mostly out of already-materialized states.
-            let mut ws = DedupWorkspace::new();
-            budgets
-                .iter()
-                .map(|&b| {
-                    let opt = det
-                        .run_warm(b, metric, SplitSearch::default(), &mut ws)
-                        .objective;
-                    budget_row(b, opt, &tree, &data, metric, q, sanity, draws, &mrv, &mrb)
-                })
-                .collect()
-        };
+        let rows: Vec<Vec<String>> = pool.map_indexed(budgets.to_vec(), |_, b| {
+            let opt = det.run(b, metric).objective;
+            budget_row(b, opt, &tree, &data, metric, q, sanity, draws, &mrv, &mrb)
+        });
         md_table(
             &[
                 "B",

@@ -6,62 +6,33 @@
 //! Both algorithms are driven through the uniform [`Thresholder`] trait,
 //! and the independent budget rows of each sweep fan out through the
 //! process-wide [`Pool`] (`wsyn_core::Pool`), whose `map_indexed`
-//! returns rows in budget order for deterministic output. When the pool
-//! resolves to a single thread the sweep instead runs sequentially
-//! through [`Thresholder::threshold_reusing`] with one shared
-//! [`SolverScratch`], so the DP memo built for earlier budgets is
-//! reused by later ones; both modes produce identical numbers.
+//! returns rows in budget order for deterministic output (on one thread
+//! it runs the rows inline, in order).
 
 use wsyn_bench::{f, md_table, workloads_1d};
 use wsyn_core::Pool;
 use wsyn_synopsis::one_dim::MinMaxErr;
 use wsyn_synopsis::thresholder::GreedyL2;
-use wsyn_synopsis::{prop33, ErrorMetric, SolverScratch, Thresholder};
+use wsyn_synopsis::{prop33, ErrorMetric, Thresholder};
 
 fn main() {
     let n = 256usize;
     let metric = ErrorMetric::absolute();
     let budgets = [8usize, 16, 24, 32];
     let pool = Pool::new();
-    let parallel = pool.is_parallel_for(budgets.len());
     println!("## E7 — max absolute error vs budget (N = {n})\n");
-    println!(
-        "sweep mode: {} (pool threads = {})\n",
-        if parallel {
-            "parallel budget rows"
-        } else {
-            "sequential scratch-reusing"
-        },
-        pool.threads_for(budgets.len())
-    );
     for (name, data) in workloads_1d(n) {
         println!("### workload: {name}\n");
         let det = MinMaxErr::new(&data).unwrap();
         let l2 = GreedyL2::new(&data).unwrap();
-        let rows: Vec<Vec<String>> = if parallel {
-            pool.map_indexed(budgets.to_vec(), |_, b| {
-                // Uniform dispatch: the optimal DP and the baseline
-                // answer the same (budget, metric) question through
-                // the same interface.
-                let solvers: [&(dyn Thresholder + Sync); 2] = [&det, &l2];
-                let [opt, base] = solvers.map(|s| s.threshold(b, metric).unwrap());
-                budget_row(b, opt, base, l2.tree())
-            })
-        } else {
-            // Same uniform dispatch, but through the scratch-reusing entry
-            // point: MinMaxErr keeps its DP memo warm across budgets while
-            // GreedyL2's default implementation ignores the scratch.
-            let mut scratch = SolverScratch::new();
-            budgets
-                .iter()
-                .map(|&b| {
-                    let solvers: [&(dyn Thresholder + Sync); 2] = [&det, &l2];
-                    let [opt, base] =
-                        solvers.map(|s| s.threshold_reusing(b, metric, &mut scratch).unwrap());
-                    budget_row(b, opt, base, l2.tree())
-                })
-                .collect()
-        };
+        let rows: Vec<Vec<String>> = pool.map_indexed(budgets.to_vec(), |_, b| {
+            // Uniform dispatch: the optimal DP and the baseline answer
+            // the same (budget, metric) question through the same
+            // interface.
+            let solvers: [&(dyn Thresholder + Sync); 2] = [&det, &l2];
+            let [opt, base] = solvers.map(|s| s.threshold(b, metric).unwrap());
+            budget_row(b, opt, base, l2.tree())
+        });
         md_table(
             &[
                 "B",

@@ -6,7 +6,8 @@
 //!
 //! * the eight 1-D `Engine` × `SplitSearch` configurations of
 //!   [`MinMaxErr`] ([`Config::ALL`]);
-//! * warm workspace reuse ([`MinMaxErr::run_warm`]) vs. cold runs;
+//! * runs through one reused [`SolverScratch`]
+//!   ([`Thresholder::threshold_with_reusing`]) vs. cold runs;
 //! * the parallel τ-sweep of [`OnePlusEps`] vs. its sequential
 //!   reference;
 //! * a streaming rebuild ([`wsyn_stream::AdaptiveMaxErrSynopsis`]) vs. a
@@ -35,9 +36,9 @@ use wsyn_stream::AdaptiveMaxErrSynopsis;
 use wsyn_synopsis::multi_dim::additive::AdditiveScheme;
 use wsyn_synopsis::multi_dim::integer::IntegerExact;
 use wsyn_synopsis::multi_dim::oneplus::OnePlusEps;
-use wsyn_synopsis::one_dim::{Config, DedupWorkspace, MinMaxErr, SplitSearch};
+use wsyn_synopsis::one_dim::{Config, MinMaxErr};
 use wsyn_synopsis::thresholder::{GreedyL2, RunParams};
-use wsyn_synopsis::{ErrorMetric, Thresholder};
+use wsyn_synopsis::{ErrorMetric, SolverScratch, Thresholder};
 
 use crate::gen::{Instance, MetricSpec};
 use crate::{oracle, Failure};
@@ -183,6 +184,8 @@ fn check_one_dim(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure>
             .fold(0.0f64, f64::max)
     };
     let orc_budgets = oracle_budgets(inst);
+    // One scratch across every budget and metric of the instance.
+    let mut scratch = SolverScratch::new();
     for &spec in &inst.metrics {
         let metric = spec.metric();
         let opt_by_budget = oracle::optimal_1d(
@@ -192,7 +195,6 @@ fn check_one_dim(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure>
             metric,
             oracle::DEFAULT_MAX_EVALS,
         );
-        let mut ws = DedupWorkspace::new();
         for &b in &inst.budgets {
             let mut witness: Option<(u64, Vec<usize>)> = None;
             for config in Config::ALL {
@@ -246,16 +248,23 @@ fn check_one_dim(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure>
                 unreachable!("Config::ALL is non-empty")
             };
             let wobj = f64::from_bits(wbits);
-            let warm = solver.run_warm(b, metric, SplitSearch::Binary, &mut ws);
-            sum.stats = sum.stats.merged(warm.stats);
+            let reused = solver
+                .threshold_with_reusing(&RunParams::new(b, metric), &mut scratch)
+                .map_err(|e| Failure::new("minmax-run", name, e.to_string()))?;
+            sum.stats = sum.stats.merged(reused.stats);
+            let reused_indices = reused
+                .synopsis
+                .into_one("conform")
+                .map_err(|e| Failure::new("minmax-run", name, e.to_string()))?
+                .indices();
             ensure!(
                 sum,
-                warm.objective.to_bits() == wbits && warm.synopsis.indices() == windices,
-                "warm-cold-bits",
+                reused.objective.to_bits() == wbits && reused_indices == windices,
+                "reused-scratch-bits",
                 name,
-                "warm b={b} {}: {} vs cold {wobj}",
+                "reused scratch b={b} {}: {} vs cold {wobj}",
                 spec.id(),
-                warm.objective
+                reused.objective
             );
             if let (Some(opts), Some(pos)) =
                 (&opt_by_budget, orc_budgets.iter().position(|&ob| ob == b))

@@ -17,10 +17,8 @@
 //!   choice slice per node state) replacing per-row `Rc` clones: one
 //!   allocation pool per solve, `Copy` handles in the memo.
 //! * [`DpWorkspace`] — a reusable table+arena bundle for repeated runs:
-//!   B-sweeps keep the memo warm across budgets (states are keyed
-//!   `(node, budget, error)`, so smaller-budget runs hit existing
-//!   entries verbatim), and τ-sweeps / streaming rebuilds reuse the
-//!   allocations via a capacity-retaining `clear`.
+//!   the multi-D τ-sweep clears it at the start of every run and keeps
+//!   only its allocations, skipping the growth ramp of a cold start.
 //! * [`DpStats`] — the unified statistics block every solver reports:
 //!   materialized states, leaf evaluations, hash probes, peak live
 //!   entries.
@@ -524,18 +522,10 @@ impl<V> RowArena<V> {
 /// [`RowArena`] — that a solver threads through *repeated* runs instead
 /// of allocating fresh per call.
 ///
-/// Two reuse regimes, both driven by the caller:
-///
-/// * **Warm memo** (no `clear` between runs): when consecutive runs
-///   solve the same instance at different budgets, the memo entries are
-///   shared verbatim — DP states are keyed `(node, budget, error)`, so
-///   a run at budget `B-1` hits every state a budget-`B` run already
-///   materialized. The owning solver is responsible for validating that
-///   the instance (coefficients, metric, split policy) is unchanged.
-/// * **Allocation reuse** (`clear` between runs): when the instance
-///   *does* change (τ-sweep rounding, streaming rebuild), `clear`
-///   empties both structures but keeps their capacity, skipping the
-///   rehash/growth ramp of a cold start.
+/// Reuse is of allocations only: a run calls [`Self::clear`] at entry,
+/// which empties both structures but keeps their capacity, skipping the
+/// rehash/growth ramp of a cold start. No DP state survives from one
+/// run to the next.
 ///
 /// The workspace also owns the `peak_live` statistic across its whole
 /// lifetime: once `clear` exists, "final memo size" is no longer "peak
@@ -545,7 +535,6 @@ pub struct DpWorkspace<V, R = f64> {
     table: StateTable<V>,
     arena: RowArena<R>,
     peak_live: usize,
-    clears: usize,
 }
 
 impl<V, R> Default for DpWorkspace<V, R> {
@@ -562,7 +551,6 @@ impl<V, R> DpWorkspace<V, R> {
             table: StateTable::new(),
             arena: RowArena::new(),
             peak_live: 0,
-            clears: 0,
         }
     }
 
@@ -603,7 +591,6 @@ impl<V, R> DpWorkspace<V, R> {
             .max(self.arena.elements());
         self.table.clear();
         self.arena.clear();
-        self.clears += 1;
     }
 
     /// Peak number of live entries (memo entries or arena elements,
@@ -617,12 +604,6 @@ impl<V, R> DpWorkspace<V, R> {
         self.peak_live
             .max(self.table.len())
             .max(self.arena.elements())
-    }
-
-    /// How many times [`Self::clear`] has run.
-    #[must_use]
-    pub fn clears(&self) -> usize {
-        self.clears
     }
 }
 
@@ -754,14 +735,12 @@ mod tests {
     fn workspace_tracks_lifetime_peak_across_clears() {
         let mut ws: DpWorkspace<u64> = DpWorkspace::new();
         assert_eq!(ws.peak_live(), 0);
-        assert_eq!(ws.clears(), 0);
         for i in 0..100u64 {
             ws.table_mut().insert(i.into(), i);
         }
         assert_eq!(ws.peak_live(), 100);
         ws.clear();
         assert_eq!(ws.table().len(), 0);
-        assert_eq!(ws.clears(), 1);
         // Peak survives the clear even though the table is empty now.
         assert_eq!(ws.peak_live(), 100);
         for i in 0..40u64 {

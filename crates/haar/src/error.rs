@@ -66,7 +66,8 @@ impl std::error::Error for HaarError {}
 /// Lifts a transform failure into the workspace-wide error. The
 /// conversion lives here rather than in `wsyn-core` because core is
 /// dependency-free by policy and cannot name [`HaarError`]; the rendered
-/// message is preserved verbatim in [`WsynError::Transform`].
+/// message is preserved verbatim in
+/// [`WsynError::Transform`](wsyn_core::WsynError::Transform).
 impl From<HaarError> for wsyn_core::WsynError {
     fn from(err: HaarError) -> wsyn_core::WsynError {
         wsyn_core::WsynError::Transform(err.to_string())

@@ -2,7 +2,7 @@
 //!
 //! Enumerates **every** partition of `0..n` into at most `b` contiguous
 //! buckets, fits each bucket exactly as the DP does (same
-//! [`crate::cost::fit`] float expressions), and keeps the best
+//! `cost::fit` float expressions), and keeps the best
 //! objective. The conform harness certifies the DP against this on
 //! every small instance: objectives must agree **bit-for-bit**, and the
 //! DP's own partition must achieve that objective when re-fit

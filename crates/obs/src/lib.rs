@@ -7,7 +7,7 @@
 //! phases names. It provides:
 //!
 //! * a hand-rolled **span tree** — enter/exit scopes (`tau_sweep`,
-//!   `dp_row`, `split_search`, `shrink_round`, …) recorded through a
+//!   `dp`, `rebuild`, …) recorded through a
 //!   cheap [`Collector`] handle with RAII [`SpanGuard`]s;
 //! * **typed counters and gauges** attached to the open span, subsuming
 //!   the flat [`DpStats`] block (via [`Collector::record_dp_stats`]);
@@ -56,7 +56,7 @@ use wsyn_core::DpStats;
 /// spans in program order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SpanNode {
-    /// Scope name (e.g. `tau_sweep`, `dp_row`, `split_search`).
+    /// Scope name (e.g. `tau_sweep`, `dp`, `rebuild`).
     pub name: String,
     /// Monotonically accumulated event counts, in name order.
     pub counters: BTreeMap<String, usize>,

@@ -46,7 +46,9 @@ use wsyn_haar::{ErrorTree1d, HaarError};
 use wsyn_synopsis::thresholder::{AnySynopsis, RunParams, ThresholdRun, Thresholder};
 use wsyn_synopsis::{ErrorMetric, Synopsis1d};
 
-pub use wsyn_synopsis::thresholder::DEFAULT_Q;
+/// Fractional-storage quantization the baselines use when driven
+/// through the [`Thresholder`] interface (E6's setting).
+pub const DEFAULT_Q: usize = 6;
 
 /// Registry descriptors for the probabilistic families, for assembly
 /// into the canonical synopsis-family registry (`wsyn_serve::registry`).
@@ -469,8 +471,7 @@ impl MinRelBias {
 
 /// Drives a probabilistic baseline through the uniform [`Thresholder`]
 /// interface: computes the fractional-storage assignment with the
-/// requested quantization (`params.q`, default
-/// [`DEFAULT_Q`]) and draws **one** synopsis with a fixed seed, so
+/// quantization [`DEFAULT_Q`] and draws **one** synopsis with a fixed seed, so
 /// repeated calls are deterministic. The reported objective is the
 /// measured maximum error of that draw (these baselines guarantee nothing
 /// about the maximum error — the point of the comparison).
@@ -489,7 +490,7 @@ fn run_via_assignment(
     let _run = params.obs.span(name);
     let a = {
         let _assign = params.obs.span("assign_dp");
-        let a = assign(params.budget, params.q, sanity);
+        let a = assign(params.budget, DEFAULT_Q, sanity);
         params.obs.record_dp_stats(&a.dp_stats());
         a
     };

@@ -1,8 +1,8 @@
 //! `wsyn-serve`: a sharded multi-tenant synopsis server.
 //!
 //! A persistent in-memory store of named columns — each holding its
-//! data, its wavelet synopsis, its maximum-error guarantee, and a warm
-//! solver workspace — served over a hand-rolled length-prefixed binary
+//! data, its wavelet synopsis, its maximum-error guarantee, and reusable
+//! solver storage — served over a hand-rolled length-prefixed binary
 //! protocol on `std::net` (the workspace's zero-dependency discipline
 //! extends to the network layer).
 //!
@@ -11,7 +11,7 @@
 //! * [`protocol`] — versioned frames carrying canonical-bytes JSON; the
 //!   codec both sides of the `server-identity` byte-diff rely on.
 //! * [`store`] — the per-column state machine: batched ingest through
-//!   the streaming rebuild policy, warm-workspace builds, per-answer
+//!   the streaming rebuild policy, scratch-reusing builds, per-answer
 //!   error intervals from `wsyn-aqp`.
 //! * [`shard`] — deterministic FNV-1a column routing and the worker
 //!   loop; per-column operations serialize lock-free through their one

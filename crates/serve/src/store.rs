@@ -1,18 +1,16 @@
-//! Per-column state: data, synopsis, guarantee, and warm solver
-//! workspace.
+//! Per-column state: data, synopsis, guarantee, and reusable solver
+//! storage.
 //!
 //! A [`Column`] owns a [`DynamicErrorTree`] (the maintained data and its
 //! error tree, O(log N) per point update), the most recent build
 //! ([`Built`]: synopsis, objective, metric, drift bookkeeping), a cached
 //! [`MinMaxErr`] solver for the *current* data, and a persistent
-//! [`SolverScratch`]. The scratch is the warm-workspace cache the server
-//! exists to exploit: repeated builds on unchanged data run
-//! [`Thresholder::threshold_with_reusing`] against the same solver, so a
-//! budget sweep hits the dedup memo exactly like the library's warm
-//! B-sweep (a proven bit-identity twin of the cold path); across data
-//! changes the workspace self-clears but keeps its allocations, skipping
-//! the memo growth ramp — the same reuse argument
+//! [`SolverScratch`]. Every build runs
+//! [`Thresholder::threshold_with_reusing`] with that scratch: the DP
+//! clears the memo inside and keeps its allocation, so drift rebuilds
+//! skip the memo growth ramp — the same reuse
 //! [`wsyn_stream::AdaptiveMaxErrSynopsis`] makes for streaming rebuilds.
+//! No DP state carries over from one build to the next.
 //!
 //! Point updates are *batched*: [`Column::enqueue`] validates and queues
 //! them (the cheap ack on the ingest path), and [`Column::drain`]
@@ -366,7 +364,7 @@ impl Column {
         Ok(())
     }
 
-    /// Runs the warm DP at `(budget, metric)` over the current data,
+    /// Runs the wavelet DP at `(budget, metric)` over the current data,
     /// (re)creating the cached solver only when the data changed since
     /// the last solve.
     fn solve(
@@ -924,11 +922,10 @@ mod tests {
     }
 
     #[test]
-    fn warm_rebuild_sweep_matches_cold_solves() {
-        // Repeated builds on unchanged data go through the warm memo;
+    fn rebuild_sweep_matches_cold_solves() {
+        // Repeated builds on unchanged data reuse the column's scratch;
         // they must stay bit-identical to cold library runs at every
-        // budget (the warm==cold conformance contract, exercised through
-        // the column).
+        // budget.
         let data = data();
         let mut col = Column::new(&data, 2.0).unwrap();
         let reference = MinMaxErr::new(&data).unwrap();

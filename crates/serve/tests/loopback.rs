@@ -196,6 +196,48 @@ fn oversized_budget_builds_and_the_shard_keeps_answering() {
     handle.join().expect("join").expect("run");
 }
 
+/// Builds the server cannot certify get an error answer, not a wrong
+/// guarantee: data near `f64::MAX` overflows the transform, and a tiny
+/// stream eps makes a grid no table can address. The shard keeps
+/// answering another column (one shard, so all columns share it).
+#[test]
+fn uncertifiable_builds_are_refused_and_the_shard_keeps_answering() {
+    let (addr, handle) = start(1);
+    let mut client = Client::connect(&addr).expect("connect");
+    let max = f64::MAX;
+    client.put("overflow", &[max, -max, max, 0.0]).expect("put");
+    client
+        .put("nan", &[1e308, 1e308, -1e308, 1e308])
+        .expect("put");
+    let other = data(32, 13);
+    client.put("other", &other).expect("put");
+    for (column, budget) in [("overflow", 8), ("nan", 1)] {
+        let refused = client
+            .build(column, budget, "abs", false)
+            .expect_err("an uncertifiable build is refused");
+        assert!(refused.contains("cannot certify"), "{column}: {refused}");
+    }
+    for (i, eps) in [1e-300, 5e-324].into_iter().enumerate() {
+        let refused = client
+            .stream_create(&format!("tiny{i}"), 8, 3, eps, 1.0)
+            .expect_err("a tiny stream eps is refused");
+        assert!(
+            refused.contains("cannot be addressed"),
+            "eps={eps}: {refused}"
+        );
+    }
+    let build = client
+        .build("other", 6, "abs", false)
+        .expect("the shard still answers");
+    let lib = MinMaxErr::new(&other)
+        .unwrap()
+        .run(6, ErrorMetric::absolute());
+    let objective = build.get("objective").and_then(Value::as_f64).unwrap();
+    assert_eq!(objective.to_bits(), lib.objective.to_bits());
+    client.shutdown().expect("shutdown");
+    handle.join().expect("join").expect("run");
+}
+
 #[test]
 fn protocol_errors_answer_without_dropping_the_connection() {
     let (addr, handle) = start(1);

@@ -359,11 +359,9 @@ pub struct AdaptiveMaxErrSynopsis {
     current: Synopsis1d,
     factory: ThresholderFactory,
     /// Reusable solver storage threaded through every (re)build via
-    /// [`Thresholder::threshold_with_reusing`]. The factory builds a
-    /// fresh thresholder per rebuild (the data changed), so the 1-D DP
-    /// workspace inside never carries warm states across rebuilds — it
-    /// carries its *allocations*, skipping the memo growth ramp each
-    /// time.
+    /// [`Thresholder::threshold_with_reusing`]. Each run clears the 1-D
+    /// DP memo inside, so only its allocation carries over, skipping the
+    /// memo growth ramp each time.
     scratch: SolverScratch,
     /// Observability collector every (re)build records into; the no-op
     /// collector (zero cost) unless [`Self::set_obs`] installs one.
@@ -406,7 +404,8 @@ impl AdaptiveMaxErrSynopsis {
     ) -> Result<Self, WsynError> {
         let policy = RebuildPolicy::new(tolerance)?;
         let mut scratch = SolverScratch::new();
-        let run = factory(tree.data())?.threshold_reusing(b, metric, &mut scratch)?;
+        let run = factory(tree.data())?
+            .threshold_with_reusing(&RunParams::new(b, metric), &mut scratch)?;
         let current = run.synopsis.into_one("the rebuild policy")?;
         Ok(Self {
             tree,

@@ -365,6 +365,8 @@ pub struct StreamingMaxErr {
     scale: f64,
     delta: f64,
     q_radius: usize,
+    /// Grid points per error column: `2Q + 1`.
+    grid: usize,
     pushed: usize,
     stack: Vec<Pending>,
     // Boxed so tables move between the frontier (`Summary::Table`) and
@@ -396,8 +398,9 @@ impl StreamingMaxErr {
     /// DP quantizes *absolute* incoming error; relative denominators
     /// need the data, which a one-pass sketch cannot revisit), and
     /// [`WsynError::Invalid`] for a non-power-of-two `n`, a
-    /// non-positive or non-finite `eps`, or a negative or non-finite
-    /// `scale`.
+    /// non-positive or non-finite `eps`, a negative or non-finite
+    /// `scale`, or an `eps` so small that one table of
+    /// `(min(B, N) + 1)·(2Q + 1)` cells cannot be addressed.
     pub fn new(n: usize, scale: f64, params: &RunParams) -> Result<StreamingMaxErr, WsynError> {
         match params.metric {
             ErrorMetric::Absolute => {}
@@ -443,6 +446,20 @@ impl StreamingMaxErr {
         } else {
             (1.0, 0)
         };
+        // `q_radius` saturates at `usize::MAX` for a tiny eps; the grid
+        // and the largest table's bytes must still fit the address space.
+        let grid = q_radius.checked_mul(2).and_then(|g| g.checked_add(1));
+        let table_bytes = grid
+            .and_then(|g| g.checked_mul(params.budget.min(n) + 1))
+            .and_then(|cells| cells.checked_mul(CELL_BYTES));
+        let (Some(grid), Some(_)) = (grid, table_bytes.filter(|&b| b <= isize::MAX as usize))
+        else {
+            return Err(WsynError::invalid(format!(
+                "stream eps {:e} is too small: its error grid (radius {q_radius}) \
+                 cannot be addressed",
+                params.eps
+            )));
+        };
         Ok(StreamingMaxErr {
             n,
             levels,
@@ -451,6 +468,7 @@ impl StreamingMaxErr {
             scale,
             delta,
             q_radius,
+            grid,
             pushed: 0,
             stack: Vec::with_capacity(levels as usize + 1),
             free: Vec::new(),
@@ -525,7 +543,9 @@ impl StreamingMaxErr {
     /// `log2 N` factor — the sublinearity witness tests assert against.
     #[must_use]
     pub fn state_bound_cells(&self) -> usize {
-        (self.levels as usize + 1) * (self.budget + 1) * (2 * self.q_radius + 1)
+        (self.levels as usize + 1)
+            .saturating_mul(self.budget.saturating_add(1))
+            .saturating_mul(self.grid)
     }
 
     /// Consumes the next item.
@@ -662,7 +682,7 @@ impl StreamingMaxErr {
 
     fn take_table(&mut self, b_cap: usize) -> Box<Table> {
         let mut t = self.free.pop().unwrap_or_default();
-        t.reset(b_cap, 2 * self.q_radius + 1);
+        t.reset(b_cap, self.grid);
         t
     }
 
@@ -706,7 +726,7 @@ impl StreamingMaxErr {
             right: Height1::unit(cr),
         };
         let b_cap = self.budget.min(3);
-        let grid = 2 * self.q_radius + 1;
+        let grid = self.grid;
         self.stats.leaf_evals += grid;
         let coeffs = [(narrow_u32(j), c), (jl, cl), (jr, cr)];
         let mut chains = [None::<u32>; 8];
@@ -762,7 +782,7 @@ impl StreamingMaxErr {
             (1usize << height) - 1
         };
         let b_cap = self.budget.min(sub_coeffs);
-        let grid = 2 * self.q_radius + 1;
+        let grid = self.grid;
         let can_keep = !is_zero(c);
         let j = narrow_u32(j);
         let mut table = self.take_table(b_cap);
@@ -1117,6 +1137,34 @@ mod tests {
         let mut b = StreamingMaxErr::new(4, 1.0, &params).unwrap();
         b.push(1.0).unwrap();
         assert!(b.finalize().is_err());
+    }
+
+    /// An eps so small that the grid radius saturates (or its table
+    /// would not fit the address space) is refused at construction,
+    /// through the builder and through the offline adapter alike.
+    #[test]
+    fn unaddressable_grids_are_refused() {
+        let data = [2.0, 2.0, 0.0, 2.0, 3.0, 5.0, 4.0, 4.0];
+        for eps in [1e-300, 5e-324] {
+            for b in [0, 3, usize::MAX] {
+                let params = RunParams::new(b, ErrorMetric::absolute()).eps(eps);
+                let err = StreamingMaxErr::new(8, 5.0, &params).unwrap_err();
+                assert!(
+                    matches!(&err, WsynError::Invalid(m) if m.contains("cannot be addressed")),
+                    "eps={eps} b={b}: {err:?}"
+                );
+                let err = StreamMaxErr::new(&data)
+                    .unwrap()
+                    .threshold_with(&params)
+                    .unwrap_err();
+                assert!(matches!(err, WsynError::Invalid(_)), "eps={eps} b={b}");
+            }
+        }
+        // A zero scale needs no grid, so the same eps is exact there.
+        let params = RunParams::new(2, ErrorMetric::absolute()).eps(1e-300);
+        let mut zero = StreamingMaxErr::new(4, 0.0, &params).unwrap();
+        zero.push_slice(&[0.0; 4]).unwrap();
+        assert_eq!(zero.finalize().unwrap().objective, 0.0);
     }
 
     #[test]

@@ -7,28 +7,15 @@
 //! becomes the uniform (denominator-free) fast path, the relative
 //! metric becomes the weighted problem with `r_i = max{|d_i|, s}` —
 //! exactly [`ErrorMetric::denom`] per item — so the DP's objective *is*
-//! the guaranteed maximum error under the requested metric.
-//!
-//! Histogram-specific knobs ride in [`RunParams`] through the typed
-//! [`FamilyParams`](crate::thresholder::FamilyParams) extension rather
-//! than new trait methods, keeping `threshold_with` the one entry
-//! point for every family.
+//! the guaranteed maximum error under the requested metric. The DP
+//! always runs its binary-search split; `wsyn_hist::solve` takes the
+//! exhaustive twin for certification.
 
 use wsyn_core::{DpStats, WsynError};
 use wsyn_hist::SplitStrategy;
 
 use crate::metric::ErrorMetric;
-use crate::thresholder::{AnySynopsis, FamilyParams, RunParams, ThresholdRun, Thresholder};
-
-/// Histogram-family knobs carried by
-/// [`FamilyParams::Hist`](crate::thresholder::FamilyParams).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HistParams {
-    /// DP split strategy: the binary-search speedup (default) or its
-    /// exhaustive-scan refutation twin. Bit-identical results by
-    /// contract — the twin exists for certification, not tuning.
-    pub split: SplitStrategy,
-}
+use crate::thresholder::{AnySynopsis, RunParams, ThresholdRun, Thresholder};
 
 /// Stout's optimal b-bucket L∞ step-function solver as a
 /// [`Thresholder`]: "budget" counts buckets instead of coefficients,
@@ -66,13 +53,14 @@ impl Thresholder for HistThresholder {
                 Some(self.data.iter().map(|&d| params.metric.denom(d)).collect())
             }
         };
-        let split = match params.family {
-            FamilyParams::Hist(h) => h.split,
-            _ => SplitStrategy::default(),
-        };
         let r = {
             let _dp = params.obs.span("dp");
-            let r = wsyn_hist::solve(&self.data, denoms.as_deref(), params.budget, split)?;
+            let r = wsyn_hist::solve(
+                &self.data,
+                denoms.as_deref(),
+                params.budget,
+                SplitStrategy::Binary,
+            )?;
             let stats = DpStats {
                 // One DP cell per (buckets-used, prefix-length) pair.
                 states: (params.budget.min(self.data.len()) + 1) * (self.data.len() + 1),
@@ -120,32 +108,13 @@ mod tests {
     }
 
     #[test]
-    fn split_strategy_knob_is_honoured_and_bit_neutral() {
-        let t = HistThresholder::new(&EXAMPLE);
-        let base = RunParams::new(3, ErrorMetric::relative(1.0));
-        let fast = t.threshold_with(&base).unwrap();
-        let slow = t
-            .threshold_with(&base.clone().family_params(FamilyParams::Hist(HistParams {
-                split: SplitStrategy::Exhaustive,
-            })))
-            .unwrap();
-        assert_eq!(fast.objective.to_bits(), slow.objective.to_bits());
-        let (AnySynopsis::Histogram(f), AnySynopsis::Histogram(s)) =
-            (&fast.synopsis, &slow.synopsis)
-        else {
-            panic!("hist synopses expected");
-        };
-        assert_eq!(f, s);
-    }
-
-    #[test]
-    fn reusing_matches_cold_and_foreign_knobs_are_ignored() {
+    fn reusing_matches_cold_and_eps_is_ignored() {
         let t = HistThresholder::new(&EXAMPLE);
         let mut scratch = SolverScratch::new();
-        let params = RunParams::new(4, ErrorMetric::absolute()).eps(0.5).q(2);
-        let cold = t.threshold_with(&params).unwrap();
-        let warm = t.threshold_with_reusing(&params, &mut scratch).unwrap();
-        assert_eq!(cold.objective.to_bits(), warm.objective.to_bits());
+        let params = RunParams::new(4, ErrorMetric::absolute()).eps(0.5);
+        let cold = t.threshold(4, ErrorMetric::absolute()).unwrap();
+        let reused = t.threshold_with_reusing(&params, &mut scratch).unwrap();
+        assert_eq!(cold.objective.to_bits(), reused.objective.to_bits());
     }
 
     #[test]

@@ -53,6 +53,4 @@ pub mod thresholder;
 pub use family::{Registry, SynopsisFamily};
 pub use metric::{rmse, ErrorMetric};
 pub use synopsis::{Synopsis1d, SynopsisNd};
-pub use thresholder::{
-    AnySynopsis, FamilyParams, RunParams, SolverScratch, ThresholdRun, Thresholder,
-};
+pub use thresholder::{AnySynopsis, RunParams, SolverScratch, ThresholdRun, Thresholder};

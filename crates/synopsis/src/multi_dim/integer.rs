@@ -7,7 +7,7 @@
 //! finite — of size proportional to `R_Z`, hence pseudo-polynomial. This
 //! module runs that DP on the multi-D kernel (top-down, materializing only
 //! reachable `e` values) with exact `i64` incoming errors, and exposes
-//! [`run_int_dp_in`] to the truncated `(1+ε)` scheme of
+//! `run_int_dp_in` to the truncated `(1+ε)` scheme of
 //! [`super::oneplus`], which additionally force-retains all coefficients
 //! above a threshold.
 //!
@@ -341,8 +341,7 @@ mod warm_sweep_tests {
     //! Warm-vs-cold bit-identity for the multi-dimensional τ-sweep: one
     //! `DpWorkspace` threaded through every τ via [`run_int_dp_in`] must
     //! produce results identical to a fresh workspace per τ
-    //! ([`run_int_dp`]). This is the N-D analogue of the 1-D
-    //! `run_warm` proptest — the workspace is cleared at entry, so only
+    //! ([`run_int_dp`]). The workspace is cleared at entry, so only
     //! allocation capacity carries over, never DP state.
     //!
     //! `probes` and `peak_live` are deliberately NOT compared: both are

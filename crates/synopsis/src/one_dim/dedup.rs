@@ -1,5 +1,5 @@
 //! Default `MinMaxErr` engine: a recursive branch-and-bound kernel with
-//! memoization on the *incoming error* scalar and a reusable workspace.
+//! memoization on the *incoming error* scalar.
 //!
 //! **State.** For a subtree `T_j`, an ancestor subset `S ⊆ path(c_j)`
 //! influences the subtree's attainable errors only through
@@ -55,31 +55,30 @@
 //! `N = 2^20`, and 30 for the largest domain a `u32` slot id allows
 //! (`N = 2^31`). `trace` walks the decisions on an explicit stack.
 //!
-//! **Workspace.** [`DedupWorkspace`] owns the memo across runs. States
-//! are keyed `(node, budget, e)` and their values are independent of the
-//! top-level budget, so a B-sweep over one signal reuses entries
-//! verbatim — descending sweeps make every smaller budget nearly free,
-//! and ascending sweeps still share all overlapping states. When the
-//! instance changes (different data, metric, or split policy — detected
-//! via an `Arc` identity token) the workspace clears but keeps its
-//! allocations, which is the reuse story for τ-sweeps and streaming
-//! rebuilds.
+//! **Memo.** [`run`] clears the caller's memo at entry, so every run
+//! solves from scratch and the memo holds no state between runs. A
+//! caller that solves many times (the server's columns, the streaming
+//! rebuild policy) passes the same table each time, and the clear keeps
+//! its capacity, skipping the growth ramp of a fresh table.
 
-use std::sync::Arc;
-
-use wsyn_core::{is_zero, narrow_u32, pack_state_1d, DpStats, DpWorkspace, StateTable};
+use wsyn_core::{is_zero, narrow_u32, pack_state_1d, DpStats, StateTable};
 use wsyn_haar::ErrorTree1d;
 
 use super::closed_form::{vmax, Height1, Height2};
 use super::{best_split_above, MetricTables, SplitSearch, ThresholdResult};
 use crate::synopsis::Synopsis1d;
 
+/// One memoized state's solution: its value, keep decision, and the
+/// budget its left child receives.
 #[derive(Clone, Copy)]
-struct Entry {
+pub(crate) struct Entry {
     value: f64,
     keep: bool,
     left_allot: u32,
 }
+
+/// The kernel's `(node, budget, e)` memo.
+pub(crate) type Memo = StateTable<Entry>;
 
 /// A pending subproblem on the trace stack.
 #[derive(Clone, Copy)]
@@ -89,125 +88,43 @@ struct Frame {
     e: f64,
 }
 
-/// Reusable DP storage for the dedup kernel: the `(node, budget, e)`
-/// memo plus the identity token of the instance it was filled for.
+/// Runs the kernel for budget `b` in `memo`, which is cleared first.
+/// `prune` toggles the branch-and-bound cuts; results are identical
+/// either way (the pruned kernel writes a subset of the unpruned
+/// kernel's bit-identical memo).
 ///
-/// Thread one workspace through [`super::MinMaxErr::run_warm`] calls to
-/// reuse the memo across a B-sweep (warm states are hit verbatim — the
-/// entries are budget-keyed and sweep-order independent) and to reuse
-/// the allocations across instance changes (metric switches, τ-sweep
-/// roundings, streaming rebuilds), where the token mismatch triggers a
-/// capacity-retaining clear.
-pub struct DedupWorkspace {
-    core: DpWorkspace<Entry>,
-    token: Option<(Arc<MetricTables>, SplitSearch)>,
-}
-
-impl Default for DedupWorkspace {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DedupWorkspace {
-    /// An empty workspace.
-    #[must_use]
-    pub fn new() -> Self {
-        DedupWorkspace {
-            core: DpWorkspace::new(),
-            token: None,
-        }
-    }
-
-    /// Validates the memo against the instance about to run: a token
-    /// match keeps the warm memo; a mismatch clears contents but keeps
-    /// allocations. `Arc::ptr_eq` on the metric tables is the identity
-    /// check — `MinMaxErr` caches one table `Arc` per metric, so pointer
-    /// identity implies same data *and* same metric (and a clone of the
-    /// solver shares the cache, which is equally sound).
-    fn ensure(&mut self, tables: &Arc<MetricTables>, split: SplitSearch) {
-        let valid = self
-            .token
-            .as_ref()
-            .is_some_and(|(t, s)| Arc::ptr_eq(t, tables) && *s == split);
-        if !valid {
-            if self.token.is_some() {
-                self.core.clear();
-            }
-            self.token = Some((Arc::clone(tables), split));
-        }
-    }
-
-    /// Peak live memo entries over the workspace's lifetime (across
-    /// clears) — the honest [`DpStats::peak_live`] for reused memos.
-    #[must_use]
-    pub fn peak_live(&self) -> usize {
-        self.core.peak_live()
-    }
-
-    /// How many times the workspace has been cleared (token changes).
-    #[must_use]
-    pub fn clears(&self) -> usize {
-        self.core.clears()
-    }
-
-    /// Currently resident memo entries.
-    #[must_use]
-    pub fn resident(&self) -> usize {
-        self.core.table().len()
-    }
-}
-
-impl std::fmt::Debug for DedupWorkspace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DedupWorkspace")
-            .field("resident", &self.resident())
-            .field("peak_live", &self.peak_live())
-            .field("clears", &self.clears())
-            .field("warm", &self.token.is_some())
-            .finish()
-    }
-}
-
-/// Runs the kernel for budget `b` inside `ws` (cleared automatically if
-/// `ws` was filled for a different instance). `prune` toggles the
-/// branch-and-bound cuts; results are identical either way (the pruned
-/// kernel writes a subset of the unpruned kernel's bit-identical memo).
+/// The stats describe this run: `states` and `peak_live` are the memo's
+/// final length. `probes` is the table's displacement sum, which
+/// depends on its capacity, so a reused table that kept a larger
+/// capacity from an earlier run reports fewer probes than a fresh one.
 pub(super) fn run(
     tree: &ErrorTree1d,
-    tables: &Arc<MetricTables>,
+    tables: &MetricTables,
     b: usize,
     split: SplitSearch,
     prune: bool,
-    ws: &mut DedupWorkspace,
+    memo: &mut Memo,
 ) -> ThresholdResult {
-    ws.ensure(tables, split);
-    let (objective, retained, leaf_evals) = {
-        let mut kernel = Kernel {
-            tree,
-            denom: &tables.denom,
-            bound: &tables.bound,
-            n: tree.n(),
-            split,
-            prune,
-            memo: ws.core.table_mut(),
-            leaf_evals: 0,
-        };
-        let objective = kernel.solve(b);
-        let mut retained = Vec::new();
-        kernel.trace(b, &mut retained);
-        (objective, retained, kernel.leaf_evals)
+    memo.clear();
+    let mut kernel = Kernel {
+        tree,
+        denom: &tables.denom,
+        bound: &tables.bound,
+        n: tree.n(),
+        split,
+        prune,
+        memo,
+        leaf_evals: 0,
     };
+    let objective = kernel.solve(b);
+    let mut retained = Vec::new();
+    kernel.trace(b, &mut retained);
     let stats = DpStats {
-        // Resident entries (height ≥ 3 and the root) — for a warm
-        // workspace this accumulates over the runs sharing the memo (the
-        // sweep's working set).
-        states: ws.core.table().len(),
-        leaf_evals,
-        probes: ws.core.table().probes(),
-        // Lifetime peak, not final size: a reused memo may have been
-        // larger before a clear than it is now.
-        peak_live: ws.peak_live(),
+        // Resident entries: the root and the nodes at height ≥ 3.
+        states: kernel.memo.len(),
+        leaf_evals: kernel.leaf_evals,
+        probes: kernel.memo.probes(),
+        peak_live: kernel.memo.len(),
     };
     ThresholdResult {
         synopsis: Synopsis1d::from_indices(tree, &retained),
@@ -225,7 +142,7 @@ struct Kernel<'a> {
     n: usize,
     split: SplitSearch,
     prune: bool,
-    memo: &'a mut StateTable<Entry>,
+    memo: &'a mut Memo,
     /// Inline closed-form evaluations of height ≤ 2 subtrees
     /// ([`DpStats::leaf_evals`]).
     leaf_evals: usize,
@@ -472,10 +389,9 @@ impl Kernel<'_> {
                 .memo
                 .get(pack_state_1d(fr.id, fr.b, e.to_bits()))
                 // Trace replays decisions along states solve()
-                // materialized; every state on a decision path was
-                // probed (hence solved) when its parent's entry was
-                // computed, and warm entries are never cleared while
-                // the workspace token matches.
+                // materialized in this run; every state on a decision
+                // path was probed (hence solved) when its parent's
+                // entry was computed.
                 // wsyn: allow(no-panic)
                 .expect("trace visits only states materialized by solve");
             let c = self.tree.coeff(id);

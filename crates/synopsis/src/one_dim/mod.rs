@@ -21,8 +21,7 @@
 //!   often far fewer) and is also precisely the state the paper itself uses
 //!   for its multi-dimensional DPs in §3.2. Runs as a recursive kernel
 //!   (one nested solve per memoized level) with certified-lossless
-//!   branch-and-bound pruning, and can reuse its memo across runs via
-//!   [`DedupWorkspace`] (see [`MinMaxErr::run_warm`]).
+//!   branch-and-bound pruning.
 //! * [`Engine::DedupExhaustive`] — the same kernel with pruning disabled;
 //!   ablation baseline asserting the pruned kernel's losslessness.
 //! * [`Engine::SubsetMask`] — the paper-faithful formulation, memoizing on
@@ -51,10 +50,9 @@ pub mod closed_form;
 mod dedup;
 mod subset;
 
-pub use dedup::DedupWorkspace;
+pub(crate) use dedup::Memo;
 
-use std::sync::{Arc, Mutex};
-
+use wsyn_core::WsynError;
 use wsyn_haar::{ErrorTree1d, HaarError};
 
 use crate::metric::ErrorMetric;
@@ -212,20 +210,14 @@ pub struct ThresholdResult {
 /// assert!((r.synopsis.max_error(&data, wsyn_synopsis::ErrorMetric::absolute())
 ///          - r.objective).abs() < 1e-9);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MinMaxErr {
     tree: ErrorTree1d,
     data: Vec<f64>,
-    /// Per-metric DP tables (leaf denominators + branch-and-bound
-    /// subtree bounds), computed once per metric and shared across runs
-    /// (B-sweeps re-run the same solver many times). The cached `Arc` is
-    /// also the identity token [`DedupWorkspace`] uses to validate warm
-    /// memos — one allocation per `(solver, metric)`, so pointer
-    /// equality implies same instance.
-    denom_cache: Mutex<Vec<(ErrorMetric, Arc<MetricTables>)>>,
 }
 
-/// Per-metric tables shared by the DP engines.
+/// Per-metric tables shared by the DP engines, computed at the start of
+/// each run in O(N).
 #[derive(Debug)]
 pub(crate) struct MetricTables {
     /// Per-leaf error denominator (`max{|d_i|, s}` for relative error,
@@ -239,21 +231,6 @@ pub(crate) struct MetricTables {
     pub(crate) bound: Vec<f64>,
 }
 
-impl Clone for MinMaxErr {
-    fn clone(&self) -> Self {
-        Self {
-            tree: self.tree.clone(),
-            data: self.data.clone(),
-            denom_cache: Mutex::new(
-                self.denom_cache
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .clone(),
-            ),
-        }
-    }
-}
-
 impl MinMaxErr {
     /// Builds the solver from raw data (computes the wavelet transform).
     ///
@@ -265,7 +242,6 @@ impl MinMaxErr {
         Ok(Self {
             tree: ErrorTree1d::from_data(data)?,
             data: data.to_vec(),
-            denom_cache: Mutex::new(Vec::new()),
         })
     }
 
@@ -273,11 +249,7 @@ impl MinMaxErr {
     /// it encodes).
     pub fn from_tree(tree: ErrorTree1d) -> Self {
         let data = tree.reconstruct_all();
-        Self {
-            tree,
-            data,
-            denom_cache: Mutex::new(Vec::new()),
-        }
+        Self { tree, data }
     }
 
     /// The underlying error tree.
@@ -301,103 +273,76 @@ impl MinMaxErr {
     /// Any budget is accepted: one of `N` or more keeps every coefficient
     /// the optimum needs, so it is clamped to `N` (DESIGN.md §9).
     ///
-    /// Debug builds certify every run: the synopsis the trace emits is
-    /// reconstructed and its achieved maximum error must equal the DP
-    /// objective (Theorem 3.1's equality — the deterministic guarantee
-    /// is the *actual* error, not a bound).
+    /// The result is not certified here: the [`crate::Thresholder`]
+    /// methods check it before they publish it.
     pub fn run_with(&self, b: usize, metric: ErrorMetric, config: Config) -> ThresholdResult {
-        let b = self.clamp_budget(b);
-        let tables = self.tables(metric);
-        let result = match config.engine {
+        self.run_in(b, metric, config, &mut Memo::new())
+    }
+
+    /// [`Self::run_with`] with the dedup engines' memo supplied by the
+    /// caller, so repeated runs reuse its allocation. The memo is
+    /// cleared first; no state carries over between runs.
+    pub(crate) fn run_in(
+        &self,
+        b: usize,
+        metric: ErrorMetric,
+        config: Config,
+        memo: &mut Memo,
+    ) -> ThresholdResult {
+        // A subtree whose budget reaches its own coefficient count can
+        // keep all of them, so its value, keep decision and leftmost
+        // split stop changing (DESIGN.md §9): clamping to `N` moves no
+        // objective bit or retained coefficient. It also bounds every
+        // budget by `N < 2^32`, which memo keys and `BottomUp` rows need.
+        let b = b.min(self.tree.n());
+        let denom: Vec<f64> = self.data.iter().map(|&v| metric.denom(v)).collect();
+        let bound = self.tree.subtree_leaf_max(&denom);
+        let tables = MetricTables { denom, bound };
+        match config.engine {
             Engine::Dedup | Engine::DedupExhaustive => {
-                // A fresh workspace per call keeps `run_with` cold by
-                // contract: ablation stats (states, leaf evals) describe
-                // exactly this run. Warm reuse is opt-in via `run_warm`.
-                let mut ws = DedupWorkspace::new();
                 let prune = matches!(config.engine, Engine::Dedup);
-                dedup::run(&self.tree, &tables, b, config.split, prune, &mut ws)
+                dedup::run(&self.tree, &tables, b, config.split, prune, memo)
             }
             Engine::SubsetMask => {
                 subset::run(&self.tree, &self.data, &tables.denom, b, config.split)
             }
             Engine::BottomUp => bottom_up::run(&self.tree, &tables.denom, b, config.split),
-        };
-        self.certify(&result, b, metric);
-        result
-    }
-
-    /// Runs the default pruned dedup kernel *warm*: the memo inside `ws`
-    /// is reused verbatim when `ws` was last used for this same solver,
-    /// metric, and split (otherwise it is cleared, retaining its
-    /// allocations). Sweeping budgets through one workspace makes each
-    /// run after the first nearly free — DP states are keyed
-    /// `(node, budget, e)` independently of the top-level budget, so any
-    /// sweep order is sound and descending order reuses the most.
-    ///
-    /// Stats caveat: `states`/`probes` describe the *accumulated*
-    /// resident memo and `peak_live` the workspace lifetime peak, not a
-    /// single cold run; `leaf_evals` counts this run only. Budgets are
-    /// clamped to `N` as in [`Self::run_with`].
-    pub fn run_warm(
-        &self,
-        b: usize,
-        metric: ErrorMetric,
-        split: SplitSearch,
-        ws: &mut DedupWorkspace,
-    ) -> ThresholdResult {
-        let b = self.clamp_budget(b);
-        let tables = self.tables(metric);
-        let result = dedup::run(&self.tree, &tables, b, split, true, ws);
-        self.certify(&result, b, metric);
-        result
-    }
-
-    /// The budget every engine runs: `b` clamped to the coefficient
-    /// count `N`. A subtree whose budget reaches its own coefficient
-    /// count can keep all of them, so its value, keep decision and
-    /// leftmost split stop changing (DESIGN.md §9): the clamp moves no
-    /// objective bit or retained coefficient. It also bounds every
-    /// budget by `N < 2^32`, which memo keys and `BottomUp` rows need.
-    fn clamp_budget(&self, b: usize) -> usize {
-        b.min(self.tree.n())
-    }
-
-    /// Debug-build certification shared by every run path: the synopsis
-    /// the trace emits is reconstructed and its achieved maximum error
-    /// must equal the DP objective (Theorem 3.1's equality — the
-    /// deterministic guarantee is the *actual* error, not a bound).
-    fn certify(&self, result: &ThresholdResult, b: usize, metric: ErrorMetric) {
-        debug_assert!(
-            {
-                let achieved = result.synopsis.max_error(&self.data, metric);
-                (achieved - result.objective).abs() <= 1e-9 * (1.0 + result.objective.abs())
-            },
-            "MinMaxErr certification failed: reconstructed max error {} != DP objective {} \
-             (b = {b}, {metric:?})",
-            result.synopsis.max_error(&self.data, metric),
-            result.objective,
-        );
-        // Release builds: parameters are otherwise unused.
-        let _ = (b, metric);
-    }
-
-    /// The per-metric DP tables, computed once and cached (metrics are
-    /// few: a linear scan beats hashing here).
-    fn tables(&self, metric: ErrorMetric) -> Arc<MetricTables> {
-        // The cache is append-only, so a poisoned lock still holds a
-        // consistent value; recover it instead of propagating the panic.
-        let mut cache = self
-            .denom_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some((_, t)) = cache.iter().find(|(m, _)| *m == metric) {
-            return Arc::clone(t);
         }
-        let denom: Vec<f64> = self.data.iter().map(|&v| metric.denom(v)).collect();
-        let bound = self.tree.subtree_leaf_max(&denom);
-        let t = Arc::new(MetricTables { denom, bound });
-        cache.push((metric, Arc::clone(&t)));
-        t
+    }
+
+    /// Certifies a run before it is published: the synopsis is
+    /// reconstructed, and its realized maximum error and the DP
+    /// objective must both be finite and agree within `1e-9` relative
+    /// (Theorem 3.1's equality — the deterministic guarantee is the
+    /// *actual* error, not a bound). Data near `f64::MAX` can overflow
+    /// the transform or the reconstruction, and then the DP's objective
+    /// is not the synopsis's error.
+    ///
+    /// # Errors
+    /// [`WsynError::Invalid`] naming both values when the check fails.
+    pub(crate) fn certify(
+        &self,
+        result: &ThresholdResult,
+        metric: ErrorMetric,
+    ) -> Result<(), WsynError> {
+        let approx = result.synopsis.reconstruct();
+        let achieved = if approx.iter().all(|v| v.is_finite()) {
+            metric.max_error(&self.data, &approx)
+        } else {
+            f64::INFINITY
+        };
+        let objective = result.objective;
+        if achieved.is_finite()
+            && objective.is_finite()
+            && (achieved - objective).abs() <= 1e-9 * (1.0 + objective.abs())
+        {
+            return Ok(());
+        }
+        Err(WsynError::invalid(format!(
+            "minmax cannot certify its result: the synopsis's maximum error is {achieved:e} \
+             but the DP objective is {objective:e} (values this close to the f64 range \
+             overflow the Haar transform or its reconstruction)"
+        )))
     }
 }
 
@@ -525,7 +470,7 @@ where
     }
 }
 
-/// [`best_split`] at every total budget at once: for each `t ∈
+/// The budget-split search at every total budget at once: for each `t ∈
 /// 0..=total` in order, calls `emit(t, best, b')` where `b'` is the
 /// leftmost minimizer of `max(left(b'), right(t - b'))` over `b' ∈ 0..=t`
 /// and `best` its value — exactly what `best_split` returns for budget
@@ -676,11 +621,11 @@ mod tests {
         }
     }
 
-    /// The certification `debug_assert` in `run_with` (reconstructed
-    /// maximum error equals the DP objective) holds on the §2.1 worked
-    /// example and on E4-style random instances — asserted explicitly
-    /// here too, so the property is also checked by release-mode runs of
-    /// the suite, for every engine, split, and budget.
+    /// The certification the `Thresholder` methods run (reconstructed
+    /// maximum error equals the DP objective) holds for every engine,
+    /// split and budget on the §2.1 worked example and on E4-style
+    /// random instances. `run_with` itself does not certify, so this
+    /// checks its results directly.
     #[test]
     fn certification_holds_on_example_and_e4_inputs() {
         use rand::rngs::StdRng;
@@ -765,9 +710,9 @@ mod tests {
     }
 
     /// Budgets of `N` or more are clamped to `N`: every `Config::ALL`
-    /// twin, and the warm kernel, returns the objective bits and retained
-    /// set of `b = N` at `b = N + 1` and at `b = 2^32 + 1`, a budget no
-    /// `u32` memo key or `BottomUp` row could hold unclamped.
+    /// twin returns the objective bits and retained set of `b = N` at
+    /// `b = N + 1` and at `b = 2^32 + 1`, a budget no `u32` memo key or
+    /// `BottomUp` row could hold unclamped.
     #[test]
     fn budgets_beyond_n_match_budget_n() {
         use rand::rngs::StdRng;
@@ -791,9 +736,6 @@ mod tests {
                                 config.id()
                             );
                         }
-                        let mut ws = DedupWorkspace::new();
-                        let warm = solver.run_warm(b, metric, SplitSearch::Binary, &mut ws);
-                        assert_eq!(bits(warm), want, "{data:?} b={b} {metric:?} warm");
                     }
                 }
             }
@@ -943,82 +885,6 @@ mod tests {
             exhaustive.stats.states,
             subset.stats.states
         );
-    }
-
-    /// Warm B-sweeps through one workspace return bit-identical results
-    /// to cold runs, in both sweep orders, for both metrics — and the
-    /// workspace's lifetime `peak_live` dominates every per-run memo.
-    #[test]
-    fn warm_sweep_is_bit_identical_to_cold_runs() {
-        let data: Vec<f64> = (0..32)
-            .map(|i| f64::from((i * 13 + 5) % 17) - 4.0)
-            .collect();
-        let solver = MinMaxErr::new(&data).unwrap();
-        for metric in [ErrorMetric::absolute(), ErrorMetric::relative(1.0)] {
-            for descending in [true, false] {
-                let mut budgets: Vec<usize> = (0..=12).collect();
-                if descending {
-                    budgets.reverse();
-                }
-                let mut ws = DedupWorkspace::new();
-                let mut max_states = 0usize;
-                for &b in &budgets {
-                    let warm = solver.run_warm(b, metric, SplitSearch::Binary, &mut ws);
-                    let cold = solver.run(b, metric);
-                    assert_eq!(
-                        warm.objective.to_bits(),
-                        cold.objective.to_bits(),
-                        "b={b} {metric:?} descending={descending}"
-                    );
-                    assert_eq!(
-                        warm.synopsis.indices(),
-                        cold.synopsis.indices(),
-                        "b={b} {metric:?} descending={descending}"
-                    );
-                    max_states = max_states.max(warm.stats.states);
-                    assert!(
-                        warm.stats.peak_live >= warm.stats.states,
-                        "peak_live must dominate the resident memo"
-                    );
-                }
-                // No clear happened during the sweep (same token).
-                assert_eq!(ws.clears(), 0, "{metric:?} descending={descending}");
-                assert_eq!(ws.peak_live(), max_states);
-            }
-        }
-    }
-
-    /// Switching metrics invalidates the workspace token: the memo is
-    /// cleared (allocation reuse, not state reuse) and results stay
-    /// correct; `peak_live` keeps the high-water mark across the clear.
-    #[test]
-    fn workspace_clears_on_metric_switch_and_tracks_lifetime_peak() {
-        let data: Vec<f64> = (0..16).map(|i| f64::from((i * 7 + 3) % 11)).collect();
-        let solver = MinMaxErr::new(&data).unwrap();
-        let mut ws = DedupWorkspace::new();
-        let r_abs = solver.run_warm(6, ErrorMetric::absolute(), SplitSearch::Binary, &mut ws);
-        let abs_states = ws.resident();
-        assert!(abs_states > 0);
-        assert_eq!(ws.clears(), 0);
-        let r_rel = solver.run_warm(6, ErrorMetric::relative(1.0), SplitSearch::Binary, &mut ws);
-        assert_eq!(ws.clears(), 1, "metric switch must clear the memo");
-        assert!(ws.peak_live() >= abs_states);
-        assert!(r_rel.stats.peak_live >= abs_states);
-        // Same-metric cold runs agree with both warm results.
-        assert_eq!(
-            r_abs.objective.to_bits(),
-            solver.run(6, ErrorMetric::absolute()).objective.to_bits()
-        );
-        assert_eq!(
-            r_rel.objective.to_bits(),
-            solver
-                .run(6, ErrorMetric::relative(1.0))
-                .objective
-                .to_bits()
-        );
-        // Split-policy switch is also a token change.
-        solver.run_warm(6, ErrorMetric::relative(1.0), SplitSearch::Linear, &mut ws);
-        assert_eq!(ws.clears(), 2, "split switch must clear the memo");
     }
 
     #[test]

@@ -10,41 +10,35 @@
 //! dispatching with bespoke match arms per algorithm.
 //!
 //! The required method is [`Thresholder::threshold_with`], which takes a
-//! [`RunParams`]: budget and metric plus the tuning knobs solvers used
-//! to hard-code (approximation `ε`, quantization `q`, the budget-split
-//! search strategy) and an observability [`Collector`] slot. The
-//! parameterless [`Thresholder::threshold`] /
-//! [`Thresholder::threshold_reusing`] remain as thin wrappers over
-//! default parameters, so existing callers migrate incrementally.
-//! A combination a solver cannot serve (e.g. `OnePlusEps` under a
-//! relative metric) returns [`WsynError::Unsupported`] rather than
-//! silently substituting a different computation.
+//! [`RunParams`]: budget, metric, the approximation `ε` of the
+//! ε-schemes and an observability [`Collector`] slot.
+//! [`Thresholder::threshold`] is a thin wrapper over default
+//! parameters, and [`Thresholder::threshold_with_reusing`] lets a
+//! caller that solves many times lend the solver its storage
+//! ([`SolverScratch`]). A combination a solver cannot serve (e.g.
+//! `OnePlusEps` under a relative metric) returns
+//! [`WsynError::Unsupported`] rather than silently substituting a
+//! different computation.
 
 use wsyn_core::{DpStats, WsynError};
 use wsyn_haar::{ErrorTree1d, HaarError};
 use wsyn_obs::Collector;
 
 use crate::greedy::greedy_l2_1d;
-use crate::histogram::HistParams;
 use crate::metric::ErrorMetric;
 use crate::multi_dim::additive::AdditiveScheme;
 use crate::multi_dim::integer::IntegerExact;
 use crate::multi_dim::oneplus::OnePlusEps;
-use crate::one_dim::{Config, DedupWorkspace, Engine, MinMaxErr, SplitSearch};
+use crate::one_dim::{Config, Memo, MinMaxErr};
 use crate::synopsis::{Synopsis1d, SynopsisNd};
 
 /// Default approximation parameter used when an ε-parameterized scheme is
 /// driven through the parameterless [`Thresholder`] interface.
 pub const DEFAULT_EPS: f64 = 0.1;
 
-/// Default fractional-storage quantization for the probabilistic
-/// baselines when driven through the parameterless interface (E6's
-/// setting; `wsyn-prob` re-exports this).
-pub const DEFAULT_Q: usize = 6;
-
 /// Parameters for one thresholding run: the `(budget, metric)` pair every
-/// solver needs, the tuning knobs that used to be hard-coded per impl,
-/// and an observability [`Collector`] slot (no-op by default, so
+/// solver needs, the approximation parameter of the ε-schemes, and an
+/// observability [`Collector`] slot (no-op by default, so
 /// uninstrumented runs pay nothing).
 ///
 /// Built with chainable setters:
@@ -62,55 +56,23 @@ pub struct RunParams {
     /// Target maximum-error metric.
     pub metric: ErrorMetric,
     /// Approximation parameter for the ε-schemes ([`AdditiveScheme`],
-    /// [`OnePlusEps`]); ignored by exact solvers.
+    /// [`OnePlusEps`], the streaming builder); ignored by exact solvers.
     pub eps: f64,
-    /// Fractional-storage quantization for the probabilistic baselines;
-    /// ignored by the deterministic solvers.
-    pub q: usize,
-    /// Budget-split search strategy for the 1-D DP; ignored by solvers
-    /// without a split search.
-    pub split_search: SplitSearch,
     /// Observability collector; [`Collector::noop`] unless the caller
     /// wants a run report.
     pub obs: Collector,
-    /// Family-specific knobs (see [`FamilyParams`]); solvers ignore
-    /// another family's variant, so one `RunParams` can drive a mixed
-    /// solver set.
-    pub family: FamilyParams,
-}
-
-/// Typed family-specific parameter extension for [`RunParams`].
-///
-/// New synopsis families want knobs the shared parameter set has no
-/// business growing field-by-field (the histogram's DP split strategy,
-/// say). Rather than new trait methods per family — which would fork
-/// [`Thresholder::threshold_with`] into per-family entry points — the
-/// knobs ride here as one typed enum: solvers match their own variant
-/// and treat everything else as [`FamilyParams::Default`].
-#[derive(Debug, Clone, Default, PartialEq)]
-#[non_exhaustive]
-pub enum FamilyParams {
-    /// No family-specific knobs: every family uses its defaults.
-    #[default]
-    Default,
-    /// Histogram-family knobs.
-    Hist(HistParams),
 }
 
 impl RunParams {
     /// Parameters with the documented defaults: `eps` =
-    /// [`DEFAULT_EPS`], `q` = [`DEFAULT_Q`], binary split search, no-op
-    /// collector.
+    /// [`DEFAULT_EPS`], no-op collector.
     #[must_use]
     pub fn new(budget: usize, metric: ErrorMetric) -> RunParams {
         RunParams {
             budget,
             metric,
             eps: DEFAULT_EPS,
-            q: DEFAULT_Q,
-            split_search: SplitSearch::default(),
             obs: Collector::noop(),
-            family: FamilyParams::default(),
         }
     }
 
@@ -121,44 +83,11 @@ impl RunParams {
         self
     }
 
-    /// Sets the probabilistic-baseline quantization `q`.
-    #[must_use]
-    pub fn q(mut self, q: usize) -> RunParams {
-        self.q = q;
-        self
-    }
-
-    /// Switches the metric to relative error with sanity bound `s`
-    /// (footnote 2 of the paper).
-    ///
-    /// # Panics
-    /// Panics when `sanity` is not strictly positive and finite (see
-    /// [`ErrorMetric::relative`]).
-    #[must_use]
-    pub fn sanity_bound(mut self, sanity: f64) -> RunParams {
-        self.metric = ErrorMetric::relative(sanity);
-        self
-    }
-
-    /// Sets the budget-split search strategy for the 1-D DP.
-    #[must_use]
-    pub fn split_search(mut self, split: SplitSearch) -> RunParams {
-        self.split_search = split;
-        self
-    }
-
     /// Installs an observability collector; pass
     /// [`Collector::recording`] to capture a span tree for a run report.
     #[must_use]
     pub fn obs(mut self, obs: Collector) -> RunParams {
         self.obs = obs;
-        self
-    }
-
-    /// Sets family-specific knobs (see [`FamilyParams`]).
-    #[must_use]
-    pub fn family_params(mut self, family: FamilyParams) -> RunParams {
-        self.family = family;
         self
     }
 }
@@ -259,12 +188,11 @@ pub trait Thresholder {
     fn threshold_with(&self, params: &RunParams) -> Result<ThresholdRun, WsynError>;
 
     /// [`Thresholder::threshold_with`] with caller-provided reusable
-    /// solver storage. Callers that run many budgets or rebuilds
-    /// (B-sweeps, streaming) thread one [`SolverScratch`] through every
-    /// call; solvers with reusable state override this to exploit it
-    /// (the optimal 1-D DP reuses its warm memo / allocations), and the
-    /// default simply ignores the scratch. Results are identical to
-    /// [`Thresholder::threshold_with`] by contract.
+    /// solver storage. Callers that solve many times (the server's
+    /// columns, streaming rebuilds) thread one [`SolverScratch`] through
+    /// every call. The optimal 1-D DP clears the memo inside and reuses
+    /// its allocation; the default ignores the scratch. Results are
+    /// identical to [`Thresholder::threshold_with`] by contract.
     ///
     /// # Errors
     /// Same conditions as [`Thresholder::threshold_with`].
@@ -286,31 +214,15 @@ pub trait Thresholder {
     fn threshold(&self, b: usize, metric: ErrorMetric) -> Result<ThresholdRun, WsynError> {
         self.threshold_with(&RunParams::new(b, metric))
     }
-
-    /// [`Thresholder::threshold`] with caller-provided reusable solver
-    /// storage — a thin wrapper over
-    /// [`Thresholder::threshold_with_reusing`].
-    ///
-    /// # Errors
-    /// Same conditions as [`Thresholder::threshold_with`].
-    fn threshold_reusing(
-        &self,
-        b: usize,
-        metric: ErrorMetric,
-        scratch: &mut SolverScratch,
-    ) -> Result<ThresholdRun, WsynError> {
-        self.threshold_with_reusing(&RunParams::new(b, metric), scratch)
-    }
 }
 
 /// Reusable solver storage for [`Thresholder::threshold_with_reusing`]:
-/// opaque scratch space a caller threads through repeated runs so
-/// solvers can keep warm memos / allocations between them. One scratch
-/// serves any mix of solvers — each solver validates the parts it uses
-/// (the 1-D DP workspace self-clears when the instance changes).
+/// the 1-D DP's memo table, which every run clears before it starts, so
+/// only its allocation carries over between runs. One scratch serves
+/// any mix of solvers.
 #[derive(Default)]
 pub struct SolverScratch {
-    pub(crate) one_dim: DedupWorkspace,
+    pub(crate) one_dim: Memo,
 }
 
 impl SolverScratch {
@@ -323,9 +235,7 @@ impl SolverScratch {
 
 impl std::fmt::Debug for SolverScratch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SolverScratch")
-            .field("one_dim", &self.one_dim)
-            .finish()
+        f.debug_struct("SolverScratch").finish_non_exhaustive()
     }
 }
 
@@ -339,27 +249,7 @@ impl Thresholder for MinMaxErr {
     }
 
     fn threshold_with(&self, params: &RunParams) -> Result<ThresholdRun, WsynError> {
-        let _run = params.obs.span("minmax");
-        let r = {
-            let _dp = params.obs.span("dp");
-            // A fresh cold run by contract: stats describe exactly this
-            // run (warm reuse is opt-in via `threshold_with_reusing`).
-            let r = self.run_with(
-                params.budget,
-                params.metric,
-                Config {
-                    engine: Engine::Dedup,
-                    split: params.split_search,
-                },
-            );
-            params.obs.record_dp_stats(&r.stats);
-            r
-        };
-        Ok(ThresholdRun {
-            synopsis: AnySynopsis::One(r.synopsis),
-            objective: r.objective,
-            stats: r.stats,
-        })
+        certified_run(self, params, &mut Memo::new())
     }
 
     fn threshold_with_reusing(
@@ -367,24 +257,31 @@ impl Thresholder for MinMaxErr {
         params: &RunParams,
         scratch: &mut SolverScratch,
     ) -> Result<ThresholdRun, WsynError> {
-        let _run = params.obs.span("minmax");
-        let r = {
-            let _dp = params.obs.span("dp");
-            let r = self.run_warm(
-                params.budget,
-                params.metric,
-                params.split_search,
-                &mut scratch.one_dim,
-            );
-            params.obs.record_dp_stats(&r.stats);
-            r
-        };
-        Ok(ThresholdRun {
-            synopsis: AnySynopsis::One(r.synopsis),
-            objective: r.objective,
-            stats: r.stats,
-        })
+        certified_run(self, params, &mut scratch.one_dim)
     }
+}
+
+/// Both [`MinMaxErr`] trait methods: the default DP in `memo`, then
+/// the certification every published result passes in every build
+/// (the realized maximum error must be finite and equal the objective).
+fn certified_run(
+    solver: &MinMaxErr,
+    params: &RunParams,
+    memo: &mut Memo,
+) -> Result<ThresholdRun, WsynError> {
+    let _run = params.obs.span("minmax");
+    let r = {
+        let _dp = params.obs.span("dp");
+        let r = solver.run_in(params.budget, params.metric, Config::default(), memo);
+        params.obs.record_dp_stats(&r.stats);
+        r
+    };
+    solver.certify(&r, params.metric)?;
+    Ok(ThresholdRun {
+        synopsis: AnySynopsis::One(r.synopsis),
+        objective: r.objective,
+        stats: r.stats,
+    })
 }
 
 /// The conventional greedy L2 baseline behind the uniform interface
@@ -567,11 +464,11 @@ mod tests {
         }
     }
 
-    /// `threshold_reusing` must be result-identical to `threshold` for
-    /// every solver — bit-identical for the warm-memo MinMaxErr path,
-    /// across budgets, metrics, and a shared scratch.
+    /// `threshold_with_reusing` must be result-identical to `threshold`
+    /// for every solver — bit-identical for MinMaxErr, whose memo is
+    /// cleared and refilled in one scratch across budgets and metrics.
     #[test]
-    fn threshold_reusing_matches_threshold() {
+    fn threshold_with_reusing_matches_threshold() {
         let solvers: Vec<Box<dyn Thresholder>> = vec![
             Box::new(MinMaxErr::new(&EXAMPLE).unwrap()),
             Box::new(GreedyL2::new(&EXAMPLE).unwrap()),
@@ -581,21 +478,58 @@ mod tests {
             for s in &solvers {
                 for b in (0..=8).rev() {
                     let cold = s.threshold(b, metric).unwrap();
-                    let warm = s.threshold_reusing(b, metric, &mut scratch).unwrap();
+                    let reused = s
+                        .threshold_with_reusing(&RunParams::new(b, metric), &mut scratch)
+                        .unwrap();
                     assert_eq!(
-                        warm.objective.to_bits(),
+                        reused.objective.to_bits(),
                         cold.objective.to_bits(),
                         "{} b={b} {metric:?}",
                         s.name()
                     );
-                    let (warm1, cold1) = (
-                        warm.synopsis.into_one("t").unwrap(),
+                    let (reused1, cold1) = (
+                        reused.synopsis.into_one("t").unwrap(),
                         cold.synopsis.into_one("t").unwrap(),
                     );
-                    assert_eq!(warm1.indices(), cold1.indices());
+                    assert_eq!(reused1.indices(), cold1.indices());
                 }
             }
         }
+    }
+
+    /// Data near `f64::MAX` overflows the transform or the
+    /// reconstruction, so the DP's objective is not the synopsis's
+    /// error (0 for the first input at budget 8, NaN for the second at
+    /// budget 1). Both trait methods refuse to publish it.
+    #[test]
+    fn overflowing_data_gets_a_typed_refusal_not_a_certificate() {
+        let max = f64::MAX;
+        let cases: [(&[f64], usize); 2] = [
+            (&[max, -max, max, 0.0], 8),
+            (&[1e308, 1e308, -1e308, 1e308], 1),
+        ];
+        let mut scratch = SolverScratch::new();
+        for (data, b) in cases {
+            let s = MinMaxErr::new(data).unwrap();
+            let params = RunParams::new(b, ErrorMetric::absolute());
+            for err in [
+                s.threshold_with(&params).unwrap_err(),
+                s.threshold_with_reusing(&params, &mut scratch).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(&err, WsynError::Invalid(m) if m.contains("cannot certify")),
+                    "{data:?} b={b}: {err:?}"
+                );
+            }
+        }
+        // The scratch still serves ordinary data afterwards.
+        let s = MinMaxErr::new(&EXAMPLE).unwrap();
+        let params = RunParams::new(3, ErrorMetric::absolute());
+        let reused = s.threshold_with_reusing(&params, &mut scratch).unwrap();
+        assert_eq!(
+            reused.objective.to_bits(),
+            s.threshold_with(&params).unwrap().objective.to_bits()
+        );
     }
 
     #[test]
@@ -613,16 +547,10 @@ mod tests {
 
     #[test]
     fn run_params_builder() {
-        let p = RunParams::new(8, ErrorMetric::absolute())
-            .eps(0.25)
-            .q(4)
-            .split_search(crate::one_dim::SplitSearch::Linear)
-            .sanity_bound(2.0);
+        let p = RunParams::new(8, ErrorMetric::absolute()).eps(0.25);
         assert_eq!(p.budget, 8);
         assert_eq!(p.eps, 0.25);
-        assert_eq!(p.q, 4);
-        assert_eq!(p.split_search, crate::one_dim::SplitSearch::Linear);
-        assert_eq!(p.metric, ErrorMetric::Relative { sanity: 2.0 });
+        assert_eq!(p.metric, ErrorMetric::Absolute);
         assert!(!p.obs.is_enabled());
     }
 

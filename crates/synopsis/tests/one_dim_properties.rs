@@ -3,7 +3,7 @@
 //! invariants — on fully random inputs via proptest.
 
 use proptest::prelude::*;
-use wsyn_synopsis::one_dim::{Config, DedupWorkspace, Engine, MinMaxErr, SplitSearch};
+use wsyn_synopsis::one_dim::{Config, Engine, MinMaxErr, SplitSearch};
 use wsyn_synopsis::{oracle, ErrorMetric};
 
 fn pow2_data() -> impl Strategy<Value = Vec<f64>> {
@@ -118,61 +118,52 @@ proptest! {
     // Fewer cases: each one sweeps all budgets through three engines.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The pruned, workspace-reused Dedup kernel returns **bit-identical**
-    /// objectives and retained sets vs. the fresh unpruned SubsetMask and
-    /// BottomUp engines, across both metrics, all budgets `0..=N`, and
-    /// both sweep orders (warm-memo soundness is sweep-order independent).
-    /// SubsetMask's quadratic state blow-up makes it the expensive
-    /// reference, so it checks a budget sample once `N > 16`; BottomUp
-    /// checks every budget.
+    /// The pruned Dedup kernel returns **bit-identical** objectives and
+    /// retained sets vs. the unpruned SubsetMask and BottomUp engines,
+    /// across both metrics and all budgets `0..=N`. SubsetMask's
+    /// quadratic state blow-up makes it the expensive reference, so it
+    /// checks a budget sample once `N > 16`; BottomUp checks every
+    /// budget.
     #[test]
-    fn warm_pruned_dedup_bit_identical_to_fresh_unpruned_engines(
+    fn pruned_dedup_bit_identical_to_unpruned_engines(
         data in pow2_data_large(),
         metric in metrics(),
-        descending in any::<bool>(),
         split_linear in any::<bool>(),
     ) {
         let split = if split_linear { SplitSearch::Linear } else { SplitSearch::Binary };
         let solver = MinMaxErr::new(&data).unwrap();
         let n = data.len();
-        let mut budgets: Vec<usize> = (0..=n).collect();
-        if descending {
-            budgets.reverse();
-        }
-        let mut ws = DedupWorkspace::new();
-        for &b in &budgets {
-            let warm = solver.run_warm(b, metric, split, &mut ws);
+        for b in 0..=n {
+            let dedup = solver.run_with(b, metric, Config { engine: Engine::Dedup, split });
             let bottom_up = solver.run_with(b, metric, Config { engine: Engine::BottomUp, split });
             prop_assert_eq!(
-                warm.objective.to_bits(),
+                dedup.objective.to_bits(),
                 bottom_up.objective.to_bits(),
-                "objective vs BottomUp: n={} b={} {:?} desc={}",
-                n, b, metric, descending
+                "objective vs BottomUp: n={} b={} {:?}",
+                n, b, metric
             );
             prop_assert_eq!(
-                warm.synopsis.indices(),
+                dedup.synopsis.indices(),
                 bottom_up.synopsis.indices(),
-                "retained set vs BottomUp: n={} b={} {:?} desc={}",
-                n, b, metric, descending
+                "retained set vs BottomUp: n={} b={} {:?}",
+                n, b, metric
             );
             if n <= 16 || b % 7 == 0 {
                 let subset =
                     solver.run_with(b, metric, Config { engine: Engine::SubsetMask, split });
                 prop_assert_eq!(
-                    warm.objective.to_bits(),
+                    dedup.objective.to_bits(),
                     subset.objective.to_bits(),
-                    "objective vs SubsetMask: n={} b={} {:?} desc={}",
-                    n, b, metric, descending
+                    "objective vs SubsetMask: n={} b={} {:?}",
+                    n, b, metric
                 );
                 prop_assert_eq!(
-                    warm.synopsis.indices(),
+                    dedup.synopsis.indices(),
                     subset.synopsis.indices(),
-                    "retained set vs SubsetMask: n={} b={} {:?} desc={}",
-                    n, b, metric, descending
+                    "retained set vs SubsetMask: n={} b={} {:?}",
+                    n, b, metric
                 );
             }
         }
-        // The whole sweep shared one warm memo: no clears happened.
-        prop_assert_eq!(ws.clears(), 0);
     }
 }

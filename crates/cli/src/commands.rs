@@ -690,6 +690,47 @@ mod tests {
             "/tmp/x"
         ]))
         .is_err());
+        // Inputs the solvers cannot answer correctly get a typed error and
+        // no synopsis, never a wrong certificate: data near `f64::MAX`
+        // overflows minmax's transform, and a tiny stream eps makes a grid
+        // no table can address.
+        let dir = tmpdir("refusals");
+        let max = f64::MAX;
+        let cases: [(&[f64], &[&str], &str); 4] = [
+            (
+                &[max, -max, max, 0.0],
+                &["--algo", "minmax", "--budget", "8"],
+                "cannot certify",
+            ),
+            (
+                &[1e308, 1e308, -1e308, 1e308],
+                &["--algo", "minmax", "--budget", "1"],
+                "cannot certify",
+            ),
+            (
+                &[2.0, 0.0, 3.0, 5.0],
+                &["--algo", "stream", "--budget", "3", "--eps", "1e-300"],
+                "cannot be addressed",
+            ),
+            (
+                &[2.0, 0.0, 3.0, 5.0],
+                &["--algo", "stream", "--budget", "3", "--eps", "5e-324"],
+                "cannot be addressed",
+            ),
+        ];
+        for (k, (data, flags, needle)) in cases.into_iter().enumerate() {
+            let data_path = format!("{dir}/data{k}.txt");
+            let syn_path = format!("{dir}/syn{k}.json");
+            crate::io::write_data(&data_path, data).unwrap();
+            let _ = std::fs::remove_file(&syn_path);
+            let mut argv = v(&[
+                "build", "--input", &data_path, "--metric", "abs", "--out", &syn_path,
+            ]);
+            argv.extend(v(flags));
+            let err = dispatch(&argv).expect_err("refused");
+            assert!(err.contains(needle), "{flags:?}: {err}");
+            assert!(!std::path::Path::new(&syn_path).exists(), "{flags:?}");
+        }
     }
 
     #[test]

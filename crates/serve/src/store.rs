@@ -310,8 +310,14 @@ impl Column {
     /// resetting drift, exactly as a stream of
     /// `AdaptiveMaxErrSynopsis::update` calls would).
     ///
+    /// A refused rebuild does not stop the drain: every pending update
+    /// (each already acknowledged by [`Column::enqueue`]) is still
+    /// applied, the previous build keeps answering under its widened
+    /// guarantee, and the next degraded update tries the rebuild again.
+    ///
     /// # Errors
-    /// A rebuild failure (propagated from the solver).
+    /// The first rebuild refusal of the batch (propagated from the
+    /// solver), reported after the whole batch is applied.
     pub fn drain(&mut self, obs: &Collector) -> Result<(), String> {
         if self.pending.is_empty() {
             return Ok(());
@@ -319,6 +325,7 @@ impl Column {
         let span = obs.span("drain");
         obs.add("applied", self.pending.len());
         let pending = std::mem::take(&mut self.pending);
+        let mut refused = None;
         for (i, delta) in pending {
             self.tree.update(i, delta);
             let degraded = match &mut self.built {
@@ -330,36 +337,37 @@ impl Column {
                 }
             };
             if degraded {
-                self.rebuild(obs)?;
+                if let Err(e) = self.rebuild(obs) {
+                    refused.get_or_insert(e);
+                }
             }
         }
         drop(span);
-        Ok(())
+        refused.map_or(Ok(()), Err)
     }
 
     /// Re-solves at the current build's `(budget, metric, family)` on
     /// the current data, resetting drift. An `auto` build re-picks its
     /// family here — the pick tracks the data, not the original build.
+    /// A refused solve leaves the current build and its drift in place,
+    /// so its conservative guarantee still covers every applied update.
     fn rebuild(&mut self, obs: &Collector) -> Result<(), String> {
-        let Some(built) = self.built.take() else {
+        let Some(built) = self.built.as_ref() else {
             return Ok(());
         };
         let span = obs.span("rebuild");
         obs.add("rebuilds", 1);
         // Validated when the build was first installed.
         let choice = resolve_family(built.family_spec.as_deref())?;
-        let rebuilt = self.solve_family(choice, built.budget, built.metric, obs)?;
+        let (budget, metric) = (built.budget, built.metric);
+        let rebuilt = self.solve_family(choice, budget, metric, obs)?;
         self.rebuilds += 1;
-        self.built = Some(Built {
-            budget: built.budget,
-            metric_spec: built.metric_spec,
-            metric: built.metric,
-            family_spec: built.family_spec,
-            family: rebuilt.family,
-            objective: rebuilt.objective,
-            drift_abs: 0.0,
-            engine: rebuilt.engine,
-        });
+        if let Some(built) = self.built.as_mut() {
+            built.family = rebuilt.family;
+            built.objective = rebuilt.objective;
+            built.drift_abs = 0.0;
+            built.engine = rebuilt.engine;
+        }
         drop(span);
         Ok(())
     }
@@ -937,6 +945,39 @@ mod tests {
                 built.engine.as_wavelet().unwrap().synopsis().indices(),
                 lib.synopsis.indices()
             );
+        }
+    }
+
+    /// A drift rebuild the solver refuses mid-batch loses no
+    /// acknowledged update. At `[MAX, MAX, MAX, 0]` the budget-2
+    /// synopsis overflows on reconstruction, so the third update's
+    /// rebuild is refused; the fourth update is still applied, its
+    /// rebuild goes through, and the column answers from that build.
+    #[test]
+    fn refused_drift_rebuild_keeps_the_rest_of_the_batch() {
+        let obs = Collector::noop();
+        let mut col = Column::new(&[0.0; 4], 2.0).unwrap();
+        col.build(2, "abs", None, &obs).unwrap();
+        let max = f64::MAX;
+        col.enqueue(&[(0, max), (1, max), (2, max), (3, max)])
+            .unwrap();
+        let refused = col
+            .query(QueryKind::Point(0), &obs)
+            .expect_err("the drain reports the refused rebuild");
+        assert!(refused.contains("cannot certify"), "{refused}");
+        assert_eq!(col.pending(), 0);
+        assert_eq!(col.tree.data(), &[max; 4]);
+        assert_eq!(
+            col.rebuilds(),
+            3,
+            "two rebuilds before the refusal, one after"
+        );
+        let built = col.built().expect("the column keeps a build");
+        assert_eq!((built.objective, built.drift_abs), (0.0, 0.0));
+        for i in 0..4 {
+            let a = col.query(QueryKind::Point(i), &obs).unwrap();
+            assert_eq!(a.est, max, "i={i}");
+            assert!(a.interval.unwrap().contains(max), "i={i}");
         }
     }
 

@@ -312,11 +312,18 @@ impl MinMaxErr {
 
     /// Certifies a run before it is published: the synopsis is
     /// reconstructed, and its realized maximum error and the DP
-    /// objective must both be finite and agree within `1e-9` relative
-    /// (Theorem 3.1's equality — the deterministic guarantee is the
-    /// *actual* error, not a bound). Data near `f64::MAX` can overflow
-    /// the transform or the reconstruction, and then the DP's objective
-    /// is not the synopsis's error.
+    /// objective must both be finite and agree (Theorem 3.1's equality —
+    /// the deterministic guarantee is the *actual* error, not a bound).
+    /// Data near `f64::MAX` can overflow the transform or the
+    /// reconstruction, and then the DP's objective is not the synopsis's
+    /// error.
+    ///
+    /// The two values are computed along different float paths, so the
+    /// tolerance is `1e-9` relative to the objective plus the rounding
+    /// of the transform and the reconstruction: each of the `log2 N + 1`
+    /// levels rounds by about `ε · max|d_i|`, seen through the smallest
+    /// denominator. Without the second term, non-dyadic data of
+    /// magnitude `1e7` and up would be refused at a small objective.
     ///
     /// # Errors
     /// [`WsynError::Invalid`] naming both values when the check fails.
@@ -332,16 +339,28 @@ impl MinMaxErr {
             f64::INFINITY
         };
         let objective = result.objective;
+        // The rounding term costs two passes over the data, so it is
+        // only computed for a gap the relative term does not cover.
+        let rounding = || {
+            let magnitude = self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+            let min_denom = self
+                .data
+                .iter()
+                .fold(f64::INFINITY, |m, &v| m.min(metric.denom(v)));
+            let levels = f64::from(self.tree.n().trailing_zeros() + 1);
+            8.0 * f64::EPSILON * levels * magnitude / min_denom
+        };
+        let gap = (achieved - objective).abs();
+        let relative = 1e-9 * (1.0 + objective.abs());
         if achieved.is_finite()
             && objective.is_finite()
-            && (achieved - objective).abs() <= 1e-9 * (1.0 + objective.abs())
+            && (gap <= relative || gap <= relative + rounding())
         {
             return Ok(());
         }
         Err(WsynError::invalid(format!(
             "minmax cannot certify its result: the synopsis's maximum error is {achieved:e} \
-             but the DP objective is {objective:e} (values this close to the f64 range \
-             overflow the Haar transform or its reconstruction)"
+             but the DP objective is {objective:e}"
         )))
     }
 }

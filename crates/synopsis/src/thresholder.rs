@@ -532,6 +532,38 @@ mod tests {
         );
     }
 
+    /// Non-dyadic data near `1e8` rounds in the transform and the
+    /// reconstruction, so the realized error of a synopsis that keeps
+    /// every coefficient is about `1e-8`, not the objective's exact 0.
+    /// Certification must accept it: the rounding scales with the
+    /// data's magnitude, not with the objective.
+    #[test]
+    fn large_non_dyadic_data_is_certified() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut inputs = vec![vec![1e8 + 0.1, 1e8 + 0.2]];
+        for n in [8usize, 64, 256] {
+            inputs.push((0..n).map(|_| 1e8 + rng.gen::<f64>()).collect());
+        }
+        let mut scratch = SolverScratch::new();
+        for data in &inputs {
+            let s = MinMaxErr::new(data).unwrap();
+            let n = data.len();
+            for b in [n, n / 2] {
+                let params = RunParams::new(b, ErrorMetric::absolute());
+                let cold = s.run(b, ErrorMetric::absolute()).objective;
+                for run in [
+                    s.threshold_with(&params),
+                    s.threshold_with_reusing(&params, &mut scratch),
+                ] {
+                    let run = run.unwrap_or_else(|e| panic!("N={n} b={b}: {e}"));
+                    assert_eq!(run.objective.to_bits(), cold.to_bits(), "N={n} b={b}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn oneplus_rejects_relative_metric() {
         use wsyn_haar::nd::NdShape;

@@ -11,6 +11,7 @@ use wsyn_datagen::{cube_bumps, quantize_to_i64};
 use wsyn_haar::nd::NdShape;
 use wsyn_synopsis::multi_dim::integer::IntegerExact;
 use wsyn_synopsis::multi_dim::oneplus::OnePlusEps;
+use wsyn_synopsis::{Collector, Pool};
 
 fn main() {
     let side = 8usize;
@@ -64,7 +65,7 @@ fn main() {
     );
 
     println!("\n### τ-sweep internals (B = 8, ε = 0.25)\n");
-    let (_, reports) = scheme.run_with_reports(8, 0.25);
+    let (_, reports) = scheme.run_with(8, 0.25, &Pool::new(), &Collector::noop());
     let rows: Vec<Vec<String>> = reports
         .iter()
         .map(|t| {

@@ -692,19 +692,19 @@ mod tests {
         .is_err());
         // Inputs the solvers cannot answer correctly get a typed error and
         // no synopsis, never a wrong certificate: data near `f64::MAX`
-        // overflows minmax's transform, and a tiny stream eps makes a grid
-        // no table can address.
+        // overflows minmax's reconstruction, and a tiny stream eps makes a
+        // grid no table can address.
         let dir = tmpdir("refusals");
         let max = f64::MAX;
         let cases: [(&[f64], &[&str], &str); 4] = [
             (
                 &[max, -max, max, 0.0],
-                &["--algo", "minmax", "--budget", "8"],
+                &["--algo", "minmax", "--budget", "3"],
                 "cannot certify",
             ),
             (
-                &[1e308, 1e308, -1e308, 1e308],
-                &["--algo", "minmax", "--budget", "1"],
+                &[max, max, max, 0.0],
+                &["--algo", "minmax", "--budget", "2"],
                 "cannot certify",
             ),
             (

@@ -8,8 +8,8 @@
 //!   [`MinMaxErr`] ([`Config::ALL`]);
 //! * runs through one reused [`SolverScratch`]
 //!   ([`Thresholder::threshold_with_reusing`]) vs. cold runs;
-//! * the parallel τ-sweep of [`OnePlusEps`] vs. its sequential
-//!   reference;
+//! * the τ-sweep of [`OnePlusEps`] through a multi-thread pool vs. a
+//!   one-thread pool (the sequential reference);
 //! * a streaming rebuild ([`wsyn_stream::AdaptiveMaxErrSynopsis`]) vs. a
 //!   from-scratch solve on the same post-update data.
 //!
@@ -489,7 +489,7 @@ fn check_aqp_bounds(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failu
 /// Pool-parallel execution is invisible in results: the `OnePlusEps`
 /// τ-sweep through explicit pools of 2 and 4 threads (forced via
 /// [`Pool::with_threads`], so real threads run even on a 1-CPU host) is
-/// an exact twin of the sequential sweep, `DpStats` included, and its
+/// an exact twin of the one-thread sweep, `DpStats` included, and its
 /// recorded observability report renders to byte-identical text at 1
 /// and 4 threads.
 fn check_parallel_identity(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure> {
@@ -507,9 +507,12 @@ fn check_parallel_identity(inst: &Instance, sum: &mut CheckSummary) -> Result<()
         .filter(|&b| b >= 1 && b <= n / 2)
         .max()
         .unwrap_or(1);
-    let seq = oneplus.run_with_reports_sequential(b, 0.5).0;
+    let noop = Collector::noop();
+    let seq = oneplus.run_with(b, 0.5, &Pool::with_threads(1), &noop).0;
     for threads in [2usize, 4] {
-        let par = oneplus.run_with_pool(b, 0.5, &Pool::with_threads(threads));
+        let par = oneplus
+            .run_with(b, 0.5, &Pool::with_threads(threads), &noop)
+            .0;
         sum.stats = sum.stats.merged(par.stats);
         ensure!(
             sum,
@@ -526,7 +529,7 @@ fn check_parallel_identity(inst: &Instance, sum: &mut CheckSummary) -> Result<()
     }
     let render = |threads: usize| -> Result<String, Failure> {
         let obs = Collector::recording();
-        oneplus.run_observed_with_pool(b, 0.5, &Pool::with_threads(threads), &obs);
+        oneplus.run_with(b, 0.5, &Pool::with_threads(threads), &obs);
         let report = obs
             .report(wsyn_obs::run_meta("oneplus", b, "abs"))
             .ok_or_else(|| {
@@ -693,10 +696,11 @@ fn check_schemes(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure>
                 approx.synopsis.len()
             );
         }
-        // Parallel vs. sequential τ-sweep: exact twins, one eps suffices
+        // Default pool vs. one thread: exact twins, one eps suffices
         // (the merge path is identical for all).
-        let (par, par_reports) = oneplus.run_with_reports(b, 0.5);
-        let (seq, seq_reports) = oneplus.run_with_reports_sequential(b, 0.5);
+        let noop = Collector::noop();
+        let (par, par_reports) = oneplus.run_with(b, 0.5, &Pool::new(), &noop);
+        let (seq, seq_reports) = oneplus.run_with(b, 0.5, &Pool::with_threads(1), &noop);
         ensure!(
             sum,
             par.true_objective.to_bits() == seq.true_objective.to_bits()

@@ -16,11 +16,15 @@
 //! the E9 inputs), at every budget `0..=min(N, 8)`. A mismatch means the
 //! solvers' outputs changed; it is never a re-recording opportunity
 //! unless that change is the intent.
+//!
+//! The `(1+ε)` sweep is recorded at 1 and 4 pool threads, and the two
+//! lines of each pair must agree, counters included.
 
 use wsyn_conform::corpus;
 use wsyn_core::Pool;
 use wsyn_datagen::{cube_bumps, quantize_to_i64};
 use wsyn_haar::nd::{NdArray, NdShape};
+use wsyn_obs::Collector;
 use wsyn_synopsis::multi_dim::additive::AdditiveScheme;
 use wsyn_synopsis::multi_dim::integer::IntegerExact;
 use wsyn_synopsis::multi_dim::oneplus::OnePlusEps;
@@ -95,7 +99,8 @@ fn report() -> String {
             );
             for eps in [0.5, 0.25] {
                 for threads in [1usize, 4] {
-                    let r = oneplus.run_with_pool(b, eps, &Pool::with_threads(threads));
+                    let (r, _) =
+                        oneplus.run_with(b, eps, &Pool::with_threads(threads), &Collector::noop());
                     line(
                         &mut out,
                         &format!("{name} oneplus eps={eps} threads={threads}"),
@@ -129,4 +134,26 @@ fn nd_solvers_match_the_recording() {
                 |(i, (a, b))| format!("line {}:\n  now:      {a}\n  recorded: {b}", i + 1)
             )
     );
+}
+
+/// The τ-sweep's output does not depend on the pool size: every
+/// `oneplus … threads=1` line of the recording equals its `threads=4`
+/// twin once the thread tag is removed, `probes` and `peak_live`
+/// included.
+#[test]
+fn oneplus_lines_agree_across_thread_counts() {
+    let recorded = include_str!("transcripts/nd_solvers.txt");
+    let untagged = |tag: &str| -> Vec<String> {
+        recorded
+            .lines()
+            .filter(|l| l.contains(tag))
+            .map(|l| l.replacen(tag, " ", 1))
+            .collect()
+    };
+    let one = untagged(" threads=1 ");
+    let four = untagged(" threads=4 ");
+    assert_eq!((one.len(), four.len()), (90, 90), "line pairs recorded");
+    for (a, b) in one.iter().zip(&four) {
+        assert_eq!(a, b, "threads=1 and threads=4 disagree");
+    }
 }

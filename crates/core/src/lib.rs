@@ -15,10 +15,9 @@
 //!   visible in [`DpStats`] without a counter in the lookup path.
 //! * [`RowArena`] / [`RowId`] — arena-allocated DP rows (a value and a
 //!   choice slice per node state) replacing per-row `Rc` clones: one
-//!   allocation pool per solve, `Copy` handles in the memo.
-//! * [`DpWorkspace`] — a reusable table+arena bundle for repeated runs:
-//!   the multi-D τ-sweep clears it at the start of every run and keeps
-//!   only its allocations, skipping the growth ramp of a cold start.
+//!   allocation pool per solve, `Copy` handles in the memo. A multi-D
+//!   run builds a fresh table and arena and drops them when it returns,
+//!   so its counters never depend on an earlier run.
 //! * [`DpStats`] — the unified statistics block every solver reports:
 //!   materialized states, leaf evaluations, hash probes, peak live
 //!   entries.
@@ -407,9 +406,9 @@ impl<V> StateTable<V> {
 
     /// Removes every entry while retaining the table's capacity.
     ///
-    /// This is the reuse half of the workspace lifecycle: a cleared
-    /// table starts the next solve with zero entries but no fresh
-    /// allocation or rehash ramp-up. Between clears the table stays
+    /// A cleared table starts the next solve with zero entries but no
+    /// fresh allocation or rehash ramp-up (the 1-D solver scratch
+    /// reuses its memo this way). Between clears the table stays
     /// insert-only, so the running displacement sum behind
     /// [`Self::probes`] stays exact.
     pub fn clear(&mut self) {
@@ -504,106 +503,6 @@ impl<V> RowArena<V> {
     #[must_use]
     pub fn elements(&self) -> usize {
         self.values.len()
-    }
-
-    /// Drops every row while retaining the arena's capacity, so the
-    /// next solve reuses the same allocations. Outstanding [`RowId`]s
-    /// from before the clear are invalidated (they would index into
-    /// rows that no longer exist); the workspace lifecycle guarantees
-    /// no handle outlives the clear.
-    pub fn clear(&mut self) {
-        self.values.clear();
-        self.choices.clear();
-        self.rows.clear();
-    }
-}
-
-/// A reusable bundle of DP storage — one [`StateTable`] memo and one
-/// [`RowArena`] — that a solver threads through *repeated* runs instead
-/// of allocating fresh per call.
-///
-/// Reuse is of allocations only: a run calls [`Self::clear`] at entry,
-/// which empties both structures but keeps their capacity, skipping the
-/// rehash/growth ramp of a cold start. No DP state survives from one
-/// run to the next.
-///
-/// The workspace also owns the `peak_live` statistic across its whole
-/// lifetime: once `clear` exists, "final memo size" is no longer "peak
-/// resident entries", so the peak is recorded here at clear time and
-/// combined with current occupancy on read.
-pub struct DpWorkspace<V, R = f64> {
-    table: StateTable<V>,
-    arena: RowArena<R>,
-    peak_live: usize,
-}
-
-impl<V, R> Default for DpWorkspace<V, R> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<V, R> DpWorkspace<V, R> {
-    /// An empty workspace.
-    #[must_use]
-    pub fn new() -> Self {
-        DpWorkspace {
-            table: StateTable::new(),
-            arena: RowArena::new(),
-            peak_live: 0,
-        }
-    }
-
-    /// The memo table.
-    #[must_use]
-    pub fn table(&self) -> &StateTable<V> {
-        &self.table
-    }
-
-    /// The memo table, mutably.
-    pub fn table_mut(&mut self) -> &mut StateTable<V> {
-        &mut self.table
-    }
-
-    /// The row arena.
-    #[must_use]
-    pub fn arena(&self) -> &RowArena<R> {
-        &self.arena
-    }
-
-    /// The row arena, mutably.
-    pub fn arena_mut(&mut self) -> &mut RowArena<R> {
-        &mut self.arena
-    }
-
-    /// Both halves mutably at once — for solvers that borrow the memo
-    /// and the arena simultaneously.
-    pub fn split_mut(&mut self) -> (&mut StateTable<V>, &mut RowArena<R>) {
-        (&mut self.table, &mut self.arena)
-    }
-
-    /// Empties the memo and the arena while retaining their capacity,
-    /// first folding the current occupancy into the lifetime peak.
-    pub fn clear(&mut self) {
-        self.peak_live = self
-            .peak_live
-            .max(self.table.len())
-            .max(self.arena.elements());
-        self.table.clear();
-        self.arena.clear();
-    }
-
-    /// Peak number of live entries (memo entries or arena elements,
-    /// whichever is larger) over the workspace's whole lifetime,
-    /// including the current occupancy. This is the value solvers
-    /// should report as [`DpStats::peak_live`] for reused workspaces —
-    /// the per-run memo length understates the true high-water mark
-    /// once `clear` has run.
-    #[must_use]
-    pub fn peak_live(&self) -> usize {
-        self.peak_live
-            .max(self.table.len())
-            .max(self.arena.elements())
     }
 }
 
@@ -716,47 +615,6 @@ mod tests {
         }
         assert_eq!(t.len(), 1_000);
         assert_eq!(t.get(pack_state_1d(17, 1, 17)), Some(&34));
-    }
-
-    #[test]
-    fn arena_clear_retains_capacity() {
-        let mut a: RowArena<f64> = RowArena::new();
-        a.alloc(vec![1.0, 2.0, 3.0], vec![0, 1, 2]);
-        let cap = a.values.capacity();
-        a.clear();
-        assert_eq!(a.rows(), 0);
-        assert_eq!(a.elements(), 0);
-        assert!(a.values.capacity() >= cap.min(3));
-        let r = a.alloc(vec![9.0], vec![4]);
-        assert_eq!(a.values(r), &[9.0]);
-    }
-
-    #[test]
-    fn workspace_tracks_lifetime_peak_across_clears() {
-        let mut ws: DpWorkspace<u64> = DpWorkspace::new();
-        assert_eq!(ws.peak_live(), 0);
-        for i in 0..100u64 {
-            ws.table_mut().insert(i.into(), i);
-        }
-        assert_eq!(ws.peak_live(), 100);
-        ws.clear();
-        assert_eq!(ws.table().len(), 0);
-        // Peak survives the clear even though the table is empty now.
-        assert_eq!(ws.peak_live(), 100);
-        for i in 0..40u64 {
-            ws.table_mut().insert(i.into(), i);
-        }
-        // Smaller refill does not move the peak...
-        assert_eq!(ws.peak_live(), 100);
-        ws.arena_mut().alloc(vec![0.0; 150], vec![0; 150]);
-        // ...but a larger live set (arena elements count too) does,
-        // without needing a clear to record it.
-        assert_eq!(ws.peak_live(), 150);
-        let (table, arena) = ws.split_mut();
-        table.insert(1 << 64, 7);
-        arena.alloc(vec![1.0], vec![1]);
-        assert_eq!(ws.table().len(), 41);
-        assert_eq!(ws.arena().elements(), 151);
     }
 
     #[test]

@@ -162,13 +162,6 @@ impl Pool {
         self.threads.min(items / MIN_ITEMS_PER_THREAD).max(1)
     }
 
-    /// Whether a call with `items` queue entries runs on more than one
-    /// thread — the single predicate behind every printed "mode" line.
-    #[must_use]
-    pub fn is_parallel_for(&self, items: usize) -> bool {
-        self.threads_for(items) > 1
-    }
-
     /// Maps `f` over `items`, returning results in input order
     /// regardless of execution order.
     ///
@@ -299,8 +292,6 @@ mod tests {
         assert_eq!(pool.threads_for(7), 3);
         assert_eq!(pool.threads_for(8), 4);
         assert_eq!(pool.threads_for(1000), 4);
-        assert!(!pool.is_parallel_for(2));
-        assert!(pool.is_parallel_for(8));
     }
 
     #[test]

@@ -52,11 +52,25 @@ pub fn forward_in_place(data: &mut [f64]) {
         for i in 0..half {
             let a = data[2 * i];
             let b = data[2 * i + 1];
-            scratch[i] = (a + b) / 2.0; // pairwise average
-            scratch[half + i] = (a - b) / 2.0; // detail coefficient
+            scratch[i] = half_sum(a, b); // pairwise average
+            scratch[half + i] = half_sum(a, -b); // detail coefficient
         }
         data[..len].copy_from_slice(&scratch[..len]);
         len = half;
+    }
+}
+
+/// `(a + b) / 2`, without overflow: when the sum leaves the finite range
+/// (two cells near `f64::MAX`) it is taken as `a/2 + b/2` instead, so
+/// finite data always has finite coefficients. A finite sum keeps the
+/// plain formula's bits.
+#[inline]
+fn half_sum(a: f64, b: f64) -> f64 {
+    let sum = a + b;
+    if sum.is_finite() {
+        sum / 2.0
+    } else {
+        a / 2.0 + b / 2.0
     }
 }
 
@@ -200,6 +214,15 @@ mod tests {
         let w = forward(&EXAMPLE).unwrap();
         let back = inverse(&w).unwrap();
         assert_eq!(back, EXAMPLE.to_vec());
+    }
+
+    #[test]
+    fn cells_near_max_have_finite_coefficients() {
+        let max = f64::MAX;
+        assert_eq!(forward(&[max; 4]).unwrap(), vec![max, 0.0, 0.0, 0.0]);
+        let w = forward(&[max, -max, max, 0.0]).unwrap();
+        assert_eq!(w, vec![max / 4.0, -max / 4.0, max, max / 2.0]);
+        assert_eq!(inverse(&w).unwrap(), vec![max, -max, max, 0.0]);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Per-column state: data, synopsis, guarantee, and reusable solver
 //! storage.
 //!
-//! A [`Column`] owns a [`DynamicErrorTree`] (the maintained data and its
-//! error tree, O(log N) per point update), the most recent build
-//! ([`Built`]: synopsis, objective, metric, drift bookkeeping), a cached
-//! [`MinMaxErr`] solver for the *current* data, and a persistent
-//! [`SolverScratch`]. Every build runs
+//! A [`Column`] owns its data (a plain vector, O(1) per point update),
+//! the most recent build ([`Built`]: synopsis, objective, metric, drift
+//! bookkeeping), and a persistent [`SolverScratch`]. Every build solves
+//! the column's current data with a fresh [`MinMaxErr`] (an O(N)
+//! transform beside the DP) and runs
 //! [`Thresholder::threshold_with_reusing`] with that scratch: the DP
 //! clears the memo inside and keeps its allocation, so drift rebuilds
 //! skip the memo growth ramp — the same reuse
@@ -14,7 +14,7 @@
 //!
 //! Point updates are *batched*: [`Column::enqueue`] validates and queues
 //! them (the cheap ack on the ingest path), and [`Column::drain`]
-//! applies them through the tree one at a time — deciding rebuilds with
+//! applies them to the data one at a time — deciding rebuilds with
 //! the same [`RebuildPolicy`] `AdaptiveMaxErrSynopsis::update` calls —
 //! before the next build, query, flush, or info touches the column. The
 //! rebuild decision therefore depends only on the update sequence, never
@@ -31,8 +31,9 @@
 //! wavelet), so the pick is a pure function of the column state.
 
 use wsyn_aqp::{bounds, QueryEngine1d, StepEngine};
+use wsyn_haar::{is_pow2, HaarError};
 use wsyn_obs::Collector;
-use wsyn_stream::{DynamicErrorTree, RebuildPolicy, StreamingMaxErr};
+use wsyn_stream::{check_update, RebuildPolicy, StreamingMaxErr};
 use wsyn_synopsis::family::{AUTO, HIST, MINMAX};
 use wsyn_synopsis::histogram::HistThresholder;
 use wsyn_synopsis::one_dim::MinMaxErr;
@@ -224,14 +225,7 @@ pub struct Answer {
 /// A named column: maintained data, pending updates, current build.
 #[derive(Debug)]
 pub struct Column {
-    tree: DynamicErrorTree,
-    /// Cached solver over the current data; valid iff `solver_at`
-    /// equals `tree.updates()`.
-    solver: Option<MinMaxErr>,
-    solver_at: u64,
-    /// Cached histogram solver, same validity rule as `solver`.
-    hist: Option<HistThresholder>,
-    hist_at: u64,
+    data: Vec<f64>,
     scratch: SolverScratch,
     built: Option<Built>,
     pending: Vec<(usize, f64)>,
@@ -249,13 +243,14 @@ impl Column {
     /// A non-power-of-two or empty data vector, or `tolerance < 1`.
     pub fn new(data: &[f64], tolerance: f64) -> Result<Column, String> {
         let policy = RebuildPolicy::new(tolerance).map_err(|e| e.to_string())?;
-        let tree = DynamicErrorTree::new(data).map_err(|e| e.to_string())?;
+        if data.is_empty() {
+            return Err(HaarError::Empty.to_string());
+        }
+        if !is_pow2(data.len()) {
+            return Err(HaarError::NotPowerOfTwo { len: data.len() }.to_string());
+        }
         Ok(Column {
-            tree,
-            solver: None,
-            solver_at: 0,
-            hist: None,
-            hist_at: 0,
+            data: data.to_vec(),
             scratch: SolverScratch::new(),
             built: None,
             pending: Vec::new(),
@@ -267,7 +262,7 @@ impl Column {
     /// Domain size.
     #[must_use]
     pub fn n(&self) -> usize {
-        self.tree.n()
+        self.data.len()
     }
 
     /// Number of updates waiting to be applied.
@@ -293,19 +288,17 @@ impl Column {
     ///
     /// # Errors
     /// An out-of-range index or a non-finite delta
-    /// ([`DynamicErrorTree::check_update`]; nothing is queued — a batch
+    /// ([`check_update`]; nothing is queued — a batch
     /// is all-or-nothing so a rejected ack leaves no partial state).
     pub fn enqueue(&mut self, updates: &[(usize, f64)]) -> Result<usize, String> {
         for &(i, delta) in updates {
-            self.tree
-                .check_update(i, delta)
-                .map_err(|e| e.to_string())?;
+            check_update(self.data.len(), i, delta).map_err(|e| e.to_string())?;
         }
         self.pending.extend_from_slice(updates);
         Ok(self.pending.len())
     }
 
-    /// Applies every pending update through the tree, consulting the
+    /// Applies every pending update to the data, consulting the
     /// [`RebuildPolicy`] after each one (a rebuild can trigger mid-batch,
     /// resetting drift, exactly as a stream of
     /// `AdaptiveMaxErrSynopsis::update` calls would).
@@ -327,7 +320,7 @@ impl Column {
         let pending = std::mem::take(&mut self.pending);
         let mut refused = None;
         for (i, delta) in pending {
-            self.tree.update(i, delta);
+            self.data[i] += delta;
             let degraded = match &mut self.built {
                 None => false,
                 Some(built) => {
@@ -372,24 +365,16 @@ impl Column {
         Ok(())
     }
 
-    /// Runs the wavelet DP at `(budget, metric)` over the current data,
-    /// (re)creating the cached solver only when the data changed since
-    /// the last solve.
+    /// Runs the wavelet DP at `(budget, metric)` over the current data.
     fn solve(
         &mut self,
         budget: usize,
         metric: ErrorMetric,
         obs: &Collector,
     ) -> Result<(f64, wsyn_synopsis::Synopsis1d), String> {
-        if self.solver.is_none() || self.solver_at != self.tree.updates() {
-            self.solver = Some(MinMaxErr::from_tree(self.tree.snapshot()));
-            self.solver_at = self.tree.updates();
-        }
-        let Some(solver) = self.solver.as_ref() else {
-            return Err("solver cache invariant broken".to_string());
-        };
         let params = RunParams::new(budget, metric).obs(obs.clone());
-        let run = solver
+        let run = MinMaxErr::new(&self.data)
+            .map_err(|e| e.to_string())?
             .threshold_with_reusing(&params, &mut self.scratch)
             .map_err(|e| e.to_string())?;
         let synopsis = run
@@ -400,23 +385,17 @@ impl Column {
     }
 
     /// Runs the histogram DP at `(budget, metric)` over the current
-    /// data, (re)creating the cached solver only when the data changed
-    /// since the last histogram solve.
+    /// data.
     fn solve_hist(
-        &mut self,
+        &self,
         budget: usize,
         metric: ErrorMetric,
         obs: &Collector,
     ) -> Result<(f64, wsyn_hist::StepSynopsis), String> {
-        if self.hist.is_none() || self.hist_at != self.tree.updates() {
-            self.hist = Some(HistThresholder::new(self.tree.data()));
-            self.hist_at = self.tree.updates();
-        }
-        let Some(solver) = self.hist.as_ref() else {
-            return Err("hist solver cache invariant broken".to_string());
-        };
         let params = RunParams::new(budget, metric).obs(obs.clone());
-        let run = solver.threshold_with(&params).map_err(|e| e.to_string())?;
+        let run = HistThresholder::new(&self.data)
+            .threshold_with(&params)
+            .map_err(|e| e.to_string())?;
         let synopsis = run
             .synopsis
             .into_histogram("the server")
@@ -517,7 +496,7 @@ impl Column {
     pub fn query(&mut self, kind: QueryKind, obs: &Collector) -> Result<Answer, String> {
         self.drain(obs)?;
         let span = obs.span("query");
-        let n = self.tree.n();
+        let n = self.data.len();
         let Some(built) = self.built.as_ref() else {
             return Err("column has no synopsis yet (build first)".to_string());
         };
@@ -597,8 +576,7 @@ pub struct StreamBuilt {
 }
 
 /// A column in *streaming ingest mode*: `append` frames feed a one-pass
-/// [`StreamingMaxErr`] builder instead of [`DynamicErrorTree`] point
-/// updates, and the synopsis finalizes automatically when the declared
+/// [`StreamingMaxErr`] builder instead of point updates, and the synopsis finalizes automatically when the declared
 /// `n`-th item lands. Until then the column holds only the builder's
 /// poly(`B`, `log N`, `1/ε`) sketch — never the data.
 #[derive(Debug)]
@@ -966,7 +944,7 @@ mod tests {
             .expect_err("the drain reports the refused rebuild");
         assert!(refused.contains("cannot certify"), "{refused}");
         assert_eq!(col.pending(), 0);
-        assert_eq!(col.tree.data(), &[max; 4]);
+        assert_eq!(col.data, &[max; 4]);
         assert_eq!(
             col.rebuilds(),
             3,
@@ -978,6 +956,88 @@ mod tests {
             let a = col.query(QueryKind::Point(i), &obs).unwrap();
             assert_eq!(a.est, max, "i={i}");
             assert!(a.interval.unwrap().contains(max), "i={i}");
+        }
+    }
+
+    /// Two adjacent cells whose sum passes `f64::MAX` still build: the
+    /// Haar average falls back to `a/2 + b/2`, so the coefficients stay
+    /// finite and the budget-2 synopsis is exact.
+    #[test]
+    fn cells_summing_past_max_still_build() {
+        let obs = Collector::noop();
+        let mut col = Column::new(&[0.0; 4], 2.0).unwrap();
+        col.build(2, "abs", None, &obs).unwrap();
+        let max = f64::MAX;
+        col.enqueue(&[(0, max), (1, max)]).unwrap();
+        col.drain(&obs).unwrap();
+        let data = [max, max, 0.0, 0.0];
+        assert_eq!(col.data, &data);
+        let built = col.built().expect("the column keeps a build");
+        assert_eq!((built.objective, built.drift_abs), (0.0, 0.0));
+        for (i, &truth) in data.iter().enumerate() {
+            let a = col.query(QueryKind::Point(i), &obs).unwrap();
+            assert_eq!(a.est, truth, "i={i}");
+            assert!(a.interval.unwrap().contains(truth), "i={i}");
+        }
+    }
+
+    /// Deltas near `f64::MAX` that cancel in the data leave no trace in
+    /// a build: the column solves the data it holds, and a running sum of
+    /// coefficient updates over the same deltas would not cancel.
+    #[test]
+    fn builds_after_cancelling_max_deltas_match_a_fresh_solve() {
+        let obs = Collector::noop();
+        let mut col = Column::new(&[0.0; 4], 2.0).unwrap();
+        col.build(2, "abs", None, &obs).unwrap();
+        let (max, half) = (f64::MAX, f64::MAX / 2.0);
+        col.enqueue(&[(0, max), (1, half), (0, -max), (1, -half)])
+            .unwrap();
+        col.drain(&obs).unwrap();
+        assert_eq!(col.data, &[0.0; 4]);
+        let fresh = MinMaxErr::new(&[0.0; 4])
+            .unwrap()
+            .run(2, ErrorMetric::absolute());
+        let engine = QueryEngine1d::new(fresh.synopsis);
+        let built = col.built().unwrap();
+        assert_eq!(built.objective.to_bits(), fresh.objective.to_bits());
+        for i in 0..4 {
+            let a = col.query(QueryKind::Point(i), &obs).unwrap();
+            assert_eq!(a.est.to_bits(), (engine.point(i) + 0.0).to_bits(), "i={i}");
+        }
+    }
+
+    /// Once `tolerance × objective` and the guarantee both overflow, the
+    /// policy still fires. At tolerance 4 the budget-1 build over
+    /// `[1e308, 0, 0, 0]` (objective 5e307) already overflows
+    /// `tolerance × objective`, and every second ±1e308 delta overflows
+    /// the drift: each of those rebuilds, so the column ends at
+    /// `[5, 0, 0, 2]` under a finite guarantee.
+    #[test]
+    fn rebuilds_resume_after_the_guarantee_overflows() {
+        let obs = Collector::noop();
+        let mut col = Column::new(&[0.0; 4], 4.0).unwrap();
+        col.build(1, "abs", None, &obs).unwrap();
+        let big = 1e308;
+        col.enqueue(&[
+            (0, big),
+            (2, big),
+            (2, -big),
+            (0, -big),
+            (1, big),
+            (1, -big),
+            (0, 5.0),
+            (3, 2.0),
+        ])
+        .unwrap();
+        col.drain(&obs).unwrap();
+        let data = [5.0, 0.0, 0.0, 2.0];
+        assert_eq!(col.data, &data);
+        assert_eq!(col.rebuilds(), 3, "after the 1st, 3rd and 5th update");
+        let guarantee = col.built().unwrap().guarantee();
+        assert!(guarantee.is_finite(), "guarantee {guarantee}");
+        for (i, truth) in data.into_iter().enumerate() {
+            let a = col.query(QueryKind::Point(i), &obs).unwrap();
+            assert!(a.interval.unwrap().contains(truth), "i={i}");
         }
     }
 

@@ -11,10 +11,6 @@
 //!   Haar coefficient array under point updates `d_i += δ`, at
 //!   `O(log N)` coefficient touches per update (every update affects only
 //!   the `log N + 1` ancestors of the cell).
-//! * [`MaintainedGreedySynopsis`] — an incrementally maintained
-//!   conventional (top-`B` normalized) synopsis: membership is
-//!   recomputed lazily from the maintained coefficients, never from the
-//!   raw data.
 //! * [`AdaptiveMaxErrSynopsis`] — a rebuild policy for the optimal
 //!   `MinMaxErr` synopsis: the current synopsis's guarantee is tracked
 //!   under updates via a conservative drift bound, and the expensive DP is
@@ -38,7 +34,6 @@
 use wsyn_core::WsynError;
 use wsyn_haar::{is_pow2, log2_exact, transform, ErrorTree1d, HaarError};
 use wsyn_obs::Collector;
-use wsyn_synopsis::greedy::greedy_l2_1d;
 use wsyn_synopsis::one_dim::MinMaxErr;
 use wsyn_synopsis::{ErrorMetric, RunParams, SolverScratch, Synopsis1d, Thresholder};
 
@@ -60,16 +55,26 @@ pub fn families() -> Vec<wsyn_synopsis::SynopsisFamily> {
     }]
 }
 
-/// Builds the thresholding algorithm [`AdaptiveMaxErrSynopsis`] re-runs on
-/// rebuild, from the *current* maintained data. A plain function pointer so
-/// the policy stays `Debug` and trivially copyable; the produced algorithm
-/// should provide a max-error guarantee for the drift bound to be
-/// meaningful.
-pub type ThresholderFactory = fn(&[f64]) -> Result<Box<dyn Thresholder>, WsynError>;
-
-/// The default rebuild factory: the optimal 1-D `MinMaxErr` DP.
-fn minmax_factory(data: &[f64]) -> Result<Box<dyn Thresholder>, WsynError> {
-    Ok(Box::new(MinMaxErr::new(data)?))
+/// Checks that `d_i += delta` is a valid point update of an `n`-cell
+/// vector: `i < n` and a finite `delta`. The one validation rule every
+/// update path applies before changing data (the server's ingest queue
+/// and [`AdaptiveMaxErrSynopsis::update`]).
+///
+/// # Errors
+/// [`WsynError::Invalid`] naming the out-of-range index or the
+/// non-finite delta.
+pub fn check_update(n: usize, i: usize, delta: f64) -> Result<(), WsynError> {
+    if i >= n {
+        return Err(WsynError::Invalid(format!(
+            "update index {i} out of range (N = {n})"
+        )));
+    }
+    if !delta.is_finite() {
+        return Err(WsynError::Invalid(format!(
+            "update delta at index {i} is not finite"
+        )));
+    }
+    Ok(())
 }
 
 /// Exact dynamic maintenance of a 1-D Haar coefficient array under point
@@ -140,34 +145,11 @@ impl DynamicErrorTree {
         &self.coeffs
     }
 
-    /// Checks that `d_i += delta` is a valid point update: `i < N` and
-    /// a finite `delta`. The one validation rule every update path
-    /// applies before [`Self::update`] (the server's ingest queue and
-    /// [`AdaptiveMaxErrSynopsis::update`]).
-    ///
-    /// # Errors
-    /// [`WsynError::Invalid`] naming the out-of-range index or the
-    /// non-finite delta.
-    pub fn check_update(&self, i: usize, delta: f64) -> Result<(), WsynError> {
-        let n = self.n();
-        if i >= n {
-            return Err(WsynError::Invalid(format!(
-                "update index {i} out of range (N = {n})"
-            )));
-        }
-        if !delta.is_finite() {
-            return Err(WsynError::Invalid(format!(
-                "update delta at index {i} is not finite"
-            )));
-        }
-        Ok(())
-    }
-
     /// Applies `d_i += delta`, updating the `log N + 1` affected
     /// coefficients in place.
     ///
     /// # Panics
-    /// Panics when `i >= N` (see [`Self::check_update`]).
+    /// Panics when `i >= N` (see [`check_update`]).
     pub fn update(&mut self, i: usize, delta: f64) {
         let n = self.n();
         assert!(i < n, "update index {i} out of range (N = {n})");
@@ -223,70 +205,6 @@ impl DynamicErrorTree {
     }
 }
 
-/// An incrementally maintained conventional (greedy top-`B` normalized)
-/// synopsis over a [`DynamicErrorTree`].
-///
-/// Coefficient values change under updates, so top-`B` membership is
-/// recomputed from the maintained coefficient array on demand (`O(N log
-/// N)` per refresh, never touching raw data); `refresh_every` bounds the
-/// staleness in number of updates.
-#[derive(Debug)]
-pub struct MaintainedGreedySynopsis {
-    tree: DynamicErrorTree,
-    b: usize,
-    refresh_every: u64,
-    since_refresh: u64,
-    current: Synopsis1d,
-}
-
-impl MaintainedGreedySynopsis {
-    /// Builds the maintained synopsis.
-    ///
-    /// # Errors
-    /// Propagates [`HaarError`].
-    ///
-    /// # Panics
-    /// Panics when `refresh_every == 0`.
-    pub fn new(data: &[f64], b: usize, refresh_every: u64) -> Result<Self, HaarError> {
-        assert!(refresh_every > 0, "refresh_every must be positive");
-        let tree = DynamicErrorTree::new(data)?;
-        let current = greedy_l2_1d(&tree.snapshot(), b);
-        Ok(Self {
-            tree,
-            b,
-            refresh_every,
-            since_refresh: 0,
-            current,
-        })
-    }
-
-    /// Applies an update; refreshes membership when due.
-    pub fn update(&mut self, i: usize, delta: f64) {
-        self.tree.update(i, delta);
-        self.since_refresh += 1;
-        if self.since_refresh >= self.refresh_every {
-            self.refresh();
-        }
-    }
-
-    /// Forces a membership refresh from the maintained coefficients.
-    pub fn refresh(&mut self) {
-        self.current = greedy_l2_1d(&self.tree.snapshot(), self.b);
-        self.since_refresh = 0;
-    }
-
-    /// The current synopsis (possibly up to `refresh_every - 1` updates
-    /// stale in membership; values inside it are as of the last refresh).
-    pub fn synopsis(&self) -> &Synopsis1d {
-        &self.current
-    }
-
-    /// The underlying dynamic tree.
-    pub fn tree(&self) -> &DynamicErrorTree {
-        &self.tree
-    }
-}
-
 /// The drift-degradation rule: when has a built synopsis drifted far
 /// enough from the data that it must be rebuilt?
 ///
@@ -329,15 +247,21 @@ impl RebuildPolicy {
     /// * Relative metric: the denominator may also have shrunk, so a
     ///   drifted relative guarantee is not cheaply boundable; drift
     ///   beyond `(tolerance − 1) ×` the sanity/objective scale triggers.
+    ///
+    /// A guarantee (absolute) or drift (relative) that is no longer
+    /// finite always counts as degraded: once both sides of the
+    /// comparison overflow, `∞ > ∞` would never fire again.
     #[must_use]
     pub fn degraded(&self, metric: ErrorMetric, built_objective: f64, drift_abs: f64) -> bool {
         match metric {
             ErrorMetric::Absolute => {
-                built_objective + drift_abs
-                    > self.tolerance * built_objective.max(f64::MIN_POSITIVE)
+                let guarantee = built_objective + drift_abs;
+                !guarantee.is_finite()
+                    || guarantee > self.tolerance * built_objective.max(f64::MIN_POSITIVE)
             }
             ErrorMetric::Relative { sanity } => {
-                drift_abs > (self.tolerance - 1.0) * sanity.max(built_objective)
+                !drift_abs.is_finite()
+                    || drift_abs > (self.tolerance - 1.0) * sanity.max(built_objective)
             }
         }
     }
@@ -357,7 +281,6 @@ pub struct AdaptiveMaxErrSynopsis {
     drift_abs: f64,
     rebuilds: u64,
     current: Synopsis1d,
-    factory: ThresholderFactory,
     /// Reusable solver storage threaded through every (re)build via
     /// [`Thresholder::threshold_with_reusing`]. Each run clears the 1-D
     /// DP memo inside, so only its allocation carries over, skipping the
@@ -377,7 +300,7 @@ impl AdaptiveMaxErrSynopsis {
     /// # Errors
     /// Describes the failure: an invalid domain
     /// ([`WsynError::Transform`]), a tolerance below 1 or NaN
-    /// ([`WsynError::Invalid`]), or the default thresholder's refusal.
+    /// ([`WsynError::Invalid`]), or the `MinMaxErr` DP's refusal.
     pub fn new(
         data: &[f64],
         b: usize,
@@ -385,26 +308,9 @@ impl AdaptiveMaxErrSynopsis {
         tolerance: f64,
     ) -> Result<Self, WsynError> {
         let tree = DynamicErrorTree::new(data)?;
-        Self::with_factory(tree, b, metric, tolerance, minmax_factory)
-    }
-
-    /// Like [`Self::new`], but rebuilding with an arbitrary
-    /// [`Thresholder`] produced by `factory` (e.g. a cheaper approximate
-    /// scheme when rebuild latency matters more than tightness).
-    ///
-    /// # Errors
-    /// A tolerance below 1 or NaN ([`WsynError::Invalid`]), or the
-    /// factory's or the thresholder's refusal.
-    pub fn with_factory(
-        tree: DynamicErrorTree,
-        b: usize,
-        metric: ErrorMetric,
-        tolerance: f64,
-        factory: ThresholderFactory,
-    ) -> Result<Self, WsynError> {
         let policy = RebuildPolicy::new(tolerance)?;
         let mut scratch = SolverScratch::new();
-        let run = factory(tree.data())?
+        let run = MinMaxErr::new(tree.data())?
             .threshold_with_reusing(&RunParams::new(b, metric), &mut scratch)?;
         let current = run.synopsis.into_one("the rebuild policy")?;
         Ok(Self {
@@ -416,7 +322,6 @@ impl AdaptiveMaxErrSynopsis {
             drift_abs: 0.0,
             rebuilds: 0,
             current,
-            factory,
             scratch,
             obs: Collector::noop(),
         })
@@ -433,11 +338,10 @@ impl AdaptiveMaxErrSynopsis {
     /// tolerance. Returns `true` when a rebuild happened.
     ///
     /// # Errors
-    /// An invalid update ([`DynamicErrorTree::check_update`]; nothing is
-    /// applied), or the factory's or the thresholder's refusal from a
-    /// triggered rebuild.
+    /// An invalid update ([`check_update`]; nothing is applied), or the
+    /// DP's refusal from a triggered rebuild.
     pub fn update(&mut self, i: usize, delta: f64) -> Result<bool, WsynError> {
-        self.tree.check_update(i, delta)?;
+        check_update(self.tree.n(), i, delta)?;
         self.tree.update(i, delta);
         self.drift_abs += delta.abs();
         if self
@@ -459,19 +363,18 @@ impl AdaptiveMaxErrSynopsis {
         self.built_objective + self.drift_abs
     }
 
-    /// Forces a rebuild of the synopsis from the current data, via the
-    /// configured [`ThresholderFactory`].
+    /// Forces a rebuild of the synopsis from the current data with the
+    /// `MinMaxErr` DP.
     ///
     /// # Errors
-    /// Propagates the factory's or the thresholder's refusal (the factory
-    /// accepted the same `(budget, metric)` at construction, so a refusal
-    /// here indicates a non-deterministic factory).
+    /// Propagates the DP's refusal (it cannot certify the result for
+    /// data near `f64::MAX`, for instance).
     pub fn rebuild(&mut self) -> Result<(), WsynError> {
         let _span = self.obs.span("rebuild");
         self.obs.add("rebuilds", 1);
         let params = RunParams::new(self.b, self.metric).obs(self.obs.clone());
         let run =
-            (self.factory)(self.tree.data())?.threshold_with_reusing(&params, &mut self.scratch)?;
+            MinMaxErr::new(self.tree.data())?.threshold_with_reusing(&params, &mut self.scratch)?;
         self.built_objective = run.objective;
         self.current = run.synopsis.into_one("the rebuild policy")?;
         self.drift_abs = 0.0;
@@ -505,30 +408,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn custom_factory_drives_rebuilds() {
-        let data = [2.0, 2.0, 0.0, 2.0, 3.0, 5.0, 4.0, 4.0];
-        let metric = ErrorMetric::absolute();
-        // A factory is any fn producing a Thresholder; this one is the
-        // default algorithm, so the policy must behave identically to
-        // `new` while exercising the factory path end to end.
-        let factory: ThresholderFactory =
-            |d| Ok(Box::new(MinMaxErr::new(d).map_err(|e| e.to_string())?));
-        let tree = DynamicErrorTree::new(&data).unwrap();
-        let mut via_factory =
-            AdaptiveMaxErrSynopsis::with_factory(tree, 3, metric, 2.0, factory).unwrap();
-        let mut via_default = AdaptiveMaxErrSynopsis::new(&data, 3, metric, 2.0).unwrap();
-        assert_eq!(via_factory.built_objective(), via_default.built_objective());
-        for (i, delta) in [(3usize, 4.0), (0, -6.0), (5, 9.0), (6, -3.0)] {
-            assert_eq!(
-                via_factory.update(i, delta).unwrap(),
-                via_default.update(i, delta).unwrap()
-            );
-            assert_eq!(via_factory.synopsis(), via_default.synopsis());
-        }
-        assert_eq!(via_factory.rebuilds(), via_default.rebuilds());
-    }
 
     #[test]
     fn update_matches_recompute() {
@@ -575,27 +454,6 @@ mod tests {
         t.update(0, 3.0);
         assert_eq!(t.coeffs(), &[8.0]);
         assert_eq!(t.data(), &[8.0]);
-    }
-
-    #[test]
-    fn maintained_greedy_matches_from_scratch_after_refresh() {
-        let data: Vec<f64> = (0..32).map(|i| f64::from((i * 7 + 3) % 13)).collect();
-        let mut m = MaintainedGreedySynopsis::new(&data, 6, 4).unwrap();
-        let mut reference = data.clone();
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..40 {
-            let i = rng.gen_range(0..32);
-            let delta = f64::from(rng.gen_range(-5i32..=5));
-            m.update(i, delta);
-            reference[i] += delta;
-        }
-        m.refresh();
-        let from_scratch = greedy_l2_1d(&ErrorTree1d::from_data(&reference).unwrap(), 6);
-        // Same indices; values equal up to update round-off.
-        assert_eq!(m.synopsis().indices(), from_scratch.indices());
-        for (a, b) in m.synopsis().entries().iter().zip(from_scratch.entries()) {
-            assert!((a.1 - b.1).abs() < 1e-9);
-        }
     }
 
     #[test]
@@ -696,6 +554,23 @@ mod tests {
     }
 
     #[test]
+    fn rebuild_policy_fires_once_the_guarantee_overflows() {
+        let policy = RebuildPolicy::new(2.0).unwrap();
+        let abs = ErrorMetric::absolute();
+        // tolerance × objective is ∞ here; a finite guarantee is not
+        // degraded, an overflowed one is.
+        assert!(!policy.degraded(abs, 1e308, 0.0));
+        assert!(!policy.degraded(abs, 1e308, 1e307));
+        assert!(policy.degraded(abs, 1e308, 1e308));
+        assert!(policy.degraded(abs, 1e308, f64::INFINITY));
+        // Relative: (tolerance − 1) × sanity overflows at tolerance 3.
+        let wide = RebuildPolicy::new(3.0).unwrap();
+        let rel = ErrorMetric::relative(1e308);
+        assert!(!wide.degraded(rel, 0.5, f64::MAX));
+        assert!(wide.degraded(rel, 0.5, f64::INFINITY));
+    }
+
+    #[test]
     fn bad_tolerance_is_an_error_not_a_panic() {
         let data = [2.0, 2.0, 0.0, 2.0, 3.0, 5.0, 4.0, 4.0];
         for tolerance in [0.5, f64::NAN] {
@@ -707,16 +582,6 @@ mod tests {
             );
             let err = AdaptiveMaxErrSynopsis::new(&data, 3, ErrorMetric::absolute(), tolerance)
                 .unwrap_err();
-            assert!(matches!(err, WsynError::Invalid(_)), "{err:?}");
-            let tree = DynamicErrorTree::new(&data).unwrap();
-            let err = AdaptiveMaxErrSynopsis::with_factory(
-                tree,
-                3,
-                ErrorMetric::absolute(),
-                tolerance,
-                minmax_factory,
-            )
-            .unwrap_err();
             assert!(matches!(err, WsynError::Invalid(_)), "{err:?}");
         }
     }

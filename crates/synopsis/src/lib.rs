@@ -54,3 +54,8 @@ pub use family::{Registry, SynopsisFamily};
 pub use metric::{rmse, ErrorMetric};
 pub use synopsis::{Synopsis1d, SynopsisNd};
 pub use thresholder::{AnySynopsis, RunParams, SolverScratch, ThresholdRun, Thresholder};
+// The worker pool and observability collector that entry points such as
+// `OnePlusEps::run_with` and `RunParams::obs` take, so callers need no
+// direct `wsyn-core` or `wsyn-obs` dependency.
+pub use wsyn_core::Pool;
+pub use wsyn_obs::Collector;

@@ -18,7 +18,7 @@
 //! errors are ≥ 1 — integer-valued data (frequency counts, OLAP measures)
 //! already is.
 
-use wsyn_core::{narrow_u32, DpWorkspace};
+use wsyn_core::narrow_u32;
 use wsyn_haar::nd::NdArray;
 use wsyn_haar::{ErrorTreeNd, HaarError};
 
@@ -106,7 +106,7 @@ impl AdditiveScheme {
             denom: self.data.iter().map(|&v| metric.denom(v)).collect(),
             eps: eps_step,
         };
-        let outcome = kernel::solve(&mut DpWorkspace::new(), &self.tree, &dom, b);
+        let outcome = kernel::solve(&self.tree, &dom, b);
         let synopsis = SynopsisNd::from_positions(&self.tree, &outcome.retained);
         let true_objective = synopsis.max_error(&self.data, metric);
         NdThresholdResult {

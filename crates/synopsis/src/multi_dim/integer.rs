@@ -6,10 +6,11 @@
 //! table `M[j, b, e]` indexed by the *exact* integer incoming error is
 //! finite — of size proportional to `R_Z`, hence pseudo-polynomial. This
 //! module runs that DP on the multi-D kernel (top-down, materializing only
-//! reachable `e` values) with exact `i64` incoming errors, and exposes
-//! `run_int_dp_in` to the truncated `(1+ε)` scheme of
-//! [`super::oneplus`], which additionally force-retains all coefficients
-//! above a threshold.
+//! reachable `e` values) with exact `i64` incoming errors. Its one entry
+//! point, `run_int_dp`, also serves each τ of the truncated `(1+ε)` scheme
+//! of [`super::oneplus`], which additionally force-retains all
+//! coefficients above a threshold. Every call solves in storage of its
+//! own, so its counters never depend on an earlier call.
 //!
 //! The primary DP targets **maximum absolute error** (the paper's
 //! setting for this scheme) with exact integer DP values — no
@@ -19,7 +20,6 @@
 //! extension: integer incoming errors, float values normalized at the
 //! leaves by `max{|d_i|, s}`.
 
-use wsyn_core::{DpWorkspace, RowId};
 use wsyn_haar::int::{self, ScaledCoeffs};
 use wsyn_haar::nd::{NdArray, NdShape};
 use wsyn_haar::{ErrorTreeNd, HaarError};
@@ -120,7 +120,7 @@ impl IntegerExact {
             coeff: &self.scaled.coeffs,
             denom,
         };
-        let outcome = kernel::solve(&mut DpWorkspace::new(), &self.tree, &dom, b);
+        let outcome = kernel::solve(&self.tree, &dom, b);
         let synopsis = SynopsisNd::from_positions(&self.tree, &outcome.retained);
         let true_objective = synopsis.max_error(&self.data_f64, metric);
         NdThresholdResult {
@@ -189,23 +189,7 @@ pub(crate) fn run_int_dp(
     forced: Option<&[bool]>,
     b: usize,
 ) -> DpOutcome<i64> {
-    run_int_dp_in(&mut DpWorkspace::new(), tree, coeff, forced, b)
-}
-
-/// [`run_int_dp`] running inside a caller-provided workspace. The DP
-/// states depend on the coefficient values (which differ per τ-sweep
-/// rounding), so the workspace is cleared at entry — this is allocation
-/// reuse, not warm-state reuse: repeated calls skip the memo/arena
-/// growth ramp. `stats.peak_live` reports this run's arena occupancy;
-/// sweeps get the lifetime peak by `merged()`-maxing per-run stats.
-pub(crate) fn run_int_dp_in(
-    ws: &mut DpWorkspace<RowId, i64>,
-    tree: &ErrorTreeNd,
-    coeff: &[i64],
-    forced: Option<&[bool]>,
-    b: usize,
-) -> DpOutcome<i64> {
-    kernel::solve(ws, tree, &Exact { coeff, forced }, b)
+    kernel::solve(tree, &Exact { coeff, forced }, b)
 }
 
 #[cfg(test)]
@@ -332,123 +316,6 @@ mod tests {
                 "b={b}: {} < {max_dropped}",
                 r.true_objective
             );
-        }
-    }
-}
-
-#[cfg(test)]
-mod warm_sweep_tests {
-    //! Warm-vs-cold bit-identity for the multi-dimensional τ-sweep: one
-    //! `DpWorkspace` threaded through every τ via [`run_int_dp_in`] must
-    //! produce results identical to a fresh workspace per τ
-    //! ([`run_int_dp`]). The workspace is cleared at entry, so only
-    //! allocation capacity carries over, never DP state.
-    //!
-    //! `probes` and `peak_live` are deliberately NOT compared: both are
-    //! capacity-dependent (a warm table retains the previous τ's larger
-    //! capacity, changing probe displacement and arena occupancy
-    //! legitimately) while `value`/`retained`/`states`/`leaf_evals` are
-    //! functions of the DP alone.
-
-    use super::*;
-    use proptest::prelude::*;
-
-    /// Replicates [`crate::multi_dim::OnePlusEps`]'s per-τ truncation:
-    /// `K_τ = ε/4 · τ / (2^D·m)`, force-retain `|c| > τ`, truncate to
-    /// `⌊c / K_τ⌋`.
-    fn tau_instance(solver: &IntegerExact, eps: f64, k: i64) -> (Vec<i64>, Vec<bool>) {
-        let d = solver.tree.ndims();
-        let hops = ((1u64 << d) as f64) * f64::from(solver.tree.levels().max(1));
-        let tau = 1i64 << k;
-        let k_tau = (eps / 4.0 * tau as f64 / hops).max(f64::MIN_POSITIVE);
-        let forced: Vec<bool> = solver
-            .scaled
-            .coeffs
-            .iter()
-            .map(|&c| c.abs() > tau)
-            .collect();
-        let truncated: Vec<i64> = solver
-            .scaled
-            .coeffs
-            .iter()
-            .map(|&c| (c as f64 / k_tau).floor() as i64)
-            .collect();
-        (truncated, forced)
-    }
-
-    fn shapes() -> impl Strategy<Value = NdShape> {
-        prop_oneof![
-            Just(NdShape::new(vec![8]).unwrap()),
-            Just(NdShape::hypercube(4, 2).unwrap()),
-            Just(NdShape::hypercube(2, 3).unwrap()),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn warm_tau_sweep_bit_identical_to_cold(
-            shape in shapes(),
-            seed_vals in proptest::collection::vec(-60i64..=60, 8),
-            b in 0usize..=6,
-            eps in prop_oneof![Just(0.5), Just(0.1)],
-        ) {
-            let n = shape.len();
-            let data: Vec<i64> = (0..n).map(|i| seed_vals[i % seed_vals.len()]).collect();
-            let solver = IntegerExact::new(&shape, &data).unwrap();
-            let rz = solver.rz();
-            prop_assume!(rz > 0);
-            let kmax = i64::from(64 - (rz as u64).leading_zeros());
-            // One workspace threaded through the entire ascending sweep…
-            let mut ws = DpWorkspace::new();
-            for k in 0..=kmax {
-                let (truncated, forced) = tau_instance(&solver, eps, k);
-                let warm = run_int_dp_in(&mut ws, &solver.tree, &truncated, Some(&forced), b);
-                // …versus a fresh workspace for the same τ.
-                let cold = run_int_dp(&solver.tree, &truncated, Some(&forced), b);
-                prop_assert_eq!(warm.value, cold.value, "k={} b={}", k, b);
-                prop_assert_eq!(warm.retained, cold.retained, "k={} b={}", k, b);
-                prop_assert_eq!(warm.stats.states, cold.stats.states, "k={} b={}", k, b);
-                prop_assert_eq!(
-                    warm.stats.leaf_evals,
-                    cold.stats.leaf_evals,
-                    "k={} b={}", k, b
-                );
-            }
-        }
-
-        #[test]
-        fn warm_sweep_order_independent(
-            seed_vals in proptest::collection::vec(-60i64..=60, 16),
-            b in 1usize..=5,
-        ) {
-            // Descending-τ reuse must match ascending-τ reuse: the clear at
-            // entry makes each run independent of sweep direction.
-            let shape = NdShape::hypercube(4, 2).unwrap();
-            let solver = IntegerExact::new(&shape, &seed_vals).unwrap();
-            let rz = solver.rz();
-            prop_assume!(rz > 0);
-            let kmax = i64::from(64 - (rz as u64).leading_zeros());
-            let mut ws_up = DpWorkspace::new();
-            let mut ws_down = DpWorkspace::new();
-            let up: Vec<_> = (0..=kmax)
-                .map(|k| {
-                    let (t, f) = tau_instance(&solver, 0.25, k);
-                    let o = run_int_dp_in(&mut ws_up, &solver.tree, &t, Some(&f), b);
-                    (o.value, o.retained, o.stats.states)
-                })
-                .collect();
-            let down: Vec<_> = (0..=kmax)
-                .rev()
-                .map(|k| {
-                    let (t, f) = tau_instance(&solver, 0.25, k);
-                    let o = run_int_dp_in(&mut ws_down, &solver.tree, &t, Some(&f), b);
-                    (o.value, o.retained, o.stats.states)
-                })
-                .collect();
-            let down_reversed: Vec<_> = down.into_iter().rev().collect();
-            prop_assert_eq!(up, down_reversed);
         }
     }
 }

@@ -12,13 +12,14 @@
 //! is represented (rounded to `±(1+ε')^k`, or an exact scaled integer),
 //! how a data cell values it, and which coefficients are forced. Rows are
 //! memoized by `(node, error bits)` and hold every budget `0..=B`;
-//! `states` counts row cells. Memo insertion order is part of the output
-//! (`probes` and `peak_live` depend on it): retained subsets are tried in
-//! ascending mask order, children are requested in quadrant order, and
-//! both the row and the root replace an incumbent only when strictly
-//! better.
+//! `states` counts row cells. Each run builds a fresh memo and row arena,
+//! so its counters are a function of `(tree, domain, b)` alone. Memo
+//! insertion order is part of the output (`probes` and `peak_live` depend
+//! on it): retained subsets are tried in ascending mask order, children
+//! are requested in quadrant order, and both the row and the root replace
+//! an incumbent only when strictly better.
 
-use wsyn_core::{is_zero, narrow_u32, DpStats, DpWorkspace, RowArena, RowId, StateTable};
+use wsyn_core::{is_zero, narrow_u32, DpStats, RowArena, RowId, StateTable};
 use wsyn_haar::nd::NodeChildren;
 use wsyn_haar::{ErrorTreeNd, NodeRef};
 
@@ -132,25 +133,18 @@ impl<V: Scalar> DpOutcome<V> {
     }
 }
 
-/// Solves `tree` under `dom` with budget `b`, inside `ws`. The budget is
-/// clamped to the number of coefficients `N`, since every memo row holds
-/// `b + 1` cells and no synopsis keeps more than `N`. The workspace is
-/// cleared at entry, so only its allocations carry over between runs.
-pub(crate) fn solve<D: ErrorDomain>(
-    ws: &mut DpWorkspace<RowId, D::Val>,
-    tree: &ErrorTreeNd,
-    dom: &D,
-    b: usize,
-) -> DpOutcome<D::Val> {
+/// Solves `tree` under `dom` with budget `b`, in a memo and row arena
+/// of its own. The budget is clamped to the number of coefficients `N`,
+/// since every memo row holds `b + 1` cells and no synopsis keeps more
+/// than `N`.
+pub(crate) fn solve<D: ErrorDomain>(tree: &ErrorTreeNd, dom: &D, b: usize) -> DpOutcome<D::Val> {
     let b = b.min(tree.coeffs().data().len());
-    ws.clear();
-    let (memo, arena) = ws.split_mut();
     let mut k = Kernel {
         tree,
         dom,
         b,
-        memo,
-        arena,
+        memo: StateTable::new(),
+        arena: RowArena::new(),
         states: 0,
         leaf_evals: 0,
     };
@@ -248,8 +242,8 @@ struct Kernel<'a, D: ErrorDomain> {
     tree: &'a ErrorTreeNd,
     dom: &'a D,
     b: usize,
-    memo: &'a mut StateTable<RowId>,
-    arena: &'a mut RowArena<D::Val>,
+    memo: StateTable<RowId>,
+    arena: RowArena<D::Val>,
     states: usize,
     leaf_evals: usize,
 }
@@ -366,7 +360,7 @@ impl<D: ErrorDomain> Kernel<'_, D> {
                     .collect()
             }
         };
-        let arena = &*self.arena;
+        let arena = &self.arena;
         let mut tables: Vec<Vec<D::Val>> = vec![Vec::new(); m];
         tables[m - 1] = (0..=avail)
             .map(|b| child_vals[m - 1].get(arena, b))
@@ -422,7 +416,7 @@ impl<D: ErrorDomain> Kernel<'_, D> {
                 let bi = if i + 1 == m {
                     budget
                 } else {
-                    let arena = &*self.arena;
+                    let arena = &self.arena;
                     best_split(
                         &mut (),
                         budget,

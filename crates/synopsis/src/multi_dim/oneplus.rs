@@ -16,14 +16,21 @@
 //! that `τ'` the truncated solution is within `2ετ' ≤ 4ε·OPT` of optimal
 //! (using Proposition 3.3's lower bound `OPT > τ'/2`). Running with
 //! `ε' = ε/4` therefore yields a `(1+ε)`-approximation.
+//!
+//! The τ values are independent subproblems, and the sweep runs them as
+//! one [`Pool::map_indexed`] call: each τ is a fresh integer DP with its
+//! own storage, and the results merge in ascending-τ order. So the result,
+//! the per-τ reports and every `DpStats` counter are the same at every
+//! thread count; `Pool::with_threads(1)`, a plain sequential loop, is the
+//! reference the determinism checks compare against.
 
-use wsyn_core::{DpStats, DpWorkspace, Pool, RowId};
+use wsyn_core::{DpStats, Pool};
 use wsyn_haar::int::{self, ScaledCoeffs};
 use wsyn_haar::nd::{NdArray, NdShape};
 use wsyn_haar::{ErrorTreeNd, HaarError};
 use wsyn_obs::{Collector, SpanNode};
 
-use super::integer::run_int_dp_in;
+use super::integer::run_int_dp;
 use super::{NdThresholdResult, MAX_DIMS};
 use crate::metric::ErrorMetric;
 use crate::synopsis::SynopsisNd;
@@ -52,8 +59,8 @@ pub struct TauReport {
 }
 
 /// Everything one τ value of the sweep produces: the public diagnostics,
-/// the candidate solution (when feasible), and the DP statistics. Workers
-/// return these so the parallel and sequential sweeps share one merge.
+/// the candidate solution (when feasible), and the DP statistics. Pool
+/// workers return these; the merge reads them in ascending-τ order.
 struct TauOutcome {
     report: TauReport,
     /// `(true error, retained positions, dp objective in data units)`.
@@ -123,86 +130,32 @@ impl OnePlusEps {
         self.scaled.max_abs()
     }
 
-    /// Runs the full τ-sweep, returning the best synopsis found. The
-    /// guarantee `true_objective ≤ (1+epsilon)·OPT` holds for the returned
-    /// result (the internal per-τ ε is `epsilon/4` per the paper).
+    /// Runs the full τ-sweep through the process-default [`Pool`],
+    /// returning the best synopsis found. The guarantee
+    /// `true_objective ≤ (1+epsilon)·OPT` holds for the returned result
+    /// (the internal per-τ ε is `epsilon/4` per the paper).
     ///
     /// # Panics
     /// Panics when `epsilon` is not strictly positive.
     pub fn run(&self, b: usize, epsilon: f64) -> NdThresholdResult {
-        let (result, _) = self.run_with_reports(b, epsilon);
-        result
+        self.run_with(b, epsilon, &Pool::new(), &Collector::noop())
+            .0
     }
 
-    /// As [`Self::run`], recording the sweep into an observability
-    /// collector: a `tau_sweep` span whose children are one `tau` span
-    /// per threshold tried, carrying that τ's forced-set size and DP
-    /// counters. Children are attached in ascending-τ order during the
-    /// deterministic merge, so the recorded tree is identical whether
-    /// the sweep ran parallel or sequential.
+    /// As [`Self::run`], fanning the τ-sweep out through `pool` and
+    /// recording it into `obs`, and also returning the per-τ
+    /// diagnostics in ascending-τ order.
+    ///
+    /// The recording is a `tau_sweep` span whose children are one `tau`
+    /// span per threshold tried, carrying that τ's forced-set size and DP
+    /// counters. Children are attached during the ascending-τ merge, and
+    /// the merge keeps the smallest τ on ties, so the result, the reports,
+    /// the `DpStats` and the recorded tree are identical at every thread
+    /// count.
     ///
     /// # Panics
     /// Panics when `epsilon` is not strictly positive.
-    pub fn run_observed(&self, b: usize, epsilon: f64, obs: &Collector) -> NdThresholdResult {
-        self.sweep(b, epsilon, &Pool::new(), obs).0
-    }
-
-    /// As [`Self::run`], additionally returning per-τ diagnostics.
-    ///
-    /// The τ values are independent subproblems, so they fan out through
-    /// the process-default [`Pool`]; the merge is performed in
-    /// ascending-τ order with a strict `<` comparison, which makes the
-    /// result bit-identical to [`Self::run_with_reports_sequential`]
-    /// (ties go to the smallest τ in both).
-    ///
-    /// # Panics
-    /// Panics when `epsilon` is not strictly positive.
-    pub fn run_with_reports(&self, b: usize, epsilon: f64) -> (NdThresholdResult, Vec<TauReport>) {
-        self.sweep(b, epsilon, &Pool::new(), &Collector::noop())
-    }
-
-    /// As [`Self::run`], fanning the τ-sweep out through an explicit
-    /// [`Pool`] instead of the process-default one. The result is
-    /// bit-identical at every thread count (the conformance harness
-    /// checks this on every corpus instance).
-    ///
-    /// # Panics
-    /// Panics when `epsilon` is not strictly positive.
-    pub fn run_with_pool(&self, b: usize, epsilon: f64, pool: &Pool) -> NdThresholdResult {
-        self.sweep(b, epsilon, pool, &Collector::noop()).0
-    }
-
-    /// As [`Self::run_observed`], with an explicit [`Pool`]. The
-    /// conformance harness renders the recorded report at several
-    /// thread counts and asserts the outputs are byte-identical.
-    ///
-    /// # Panics
-    /// Panics when `epsilon` is not strictly positive.
-    pub fn run_observed_with_pool(
-        &self,
-        b: usize,
-        epsilon: f64,
-        pool: &Pool,
-        obs: &Collector,
-    ) -> NdThresholdResult {
-        self.sweep(b, epsilon, pool, obs).0
-    }
-
-    /// Sequential reference sweep: same results as
-    /// [`Self::run_with_reports`], one τ at a time. Kept as the reference
-    /// the determinism tests compare the pooled sweep against.
-    ///
-    /// # Panics
-    /// Panics when `epsilon` is not strictly positive.
-    pub fn run_with_reports_sequential(
-        &self,
-        b: usize,
-        epsilon: f64,
-    ) -> (NdThresholdResult, Vec<TauReport>) {
-        self.sweep(b, epsilon, &Pool::with_threads(1), &Collector::noop())
-    }
-
-    fn sweep(
+    pub fn run_with(
         &self,
         b: usize,
         epsilon: f64,
@@ -232,27 +185,12 @@ impl OnePlusEps {
         let hops = ((1u64 << self.d) as f64) * f64::from(self.m.max(1));
         let kmax = i64::from(64 - (rz as u64).leading_zeros()); // ceil(log2 rz) + 1 cover
         let taus: Vec<i64> = (0..=kmax).collect();
-        let outcomes: Vec<TauOutcome> = if pool.is_parallel_for(taus.len()) {
-            // Each τ runs as one pool item with a fresh workspace —
-            // workspace reuse only pays within a thread, and the pool's
-            // min-work floor already keeps tiny sweeps sequential.
-            pool.map_indexed(taus, |_, k| {
-                self.solve_tau(&mut DpWorkspace::new(), b, eps_internal, hops, k)
-            })
-        } else {
-            // One workspace threaded through the whole sweep: each τ's
-            // DP has different truncated coefficients (no warm states),
-            // but the memo/arena allocations are reused across all τ.
-            let mut ws = DpWorkspace::new();
-            taus.into_iter()
-                .map(|k| self.solve_tau(&mut ws, b, eps_internal, hops, k))
-                .collect()
-        };
+        let outcomes: Vec<TauOutcome> =
+            pool.map_indexed(taus, |_, k| self.solve_tau(b, eps_internal, hops, k));
         // Deterministic merge in ascending-τ order; strict `<` keeps the
-        // smallest τ on ties, matching the sequential loop bit-for-bit.
-        // Per-τ observability subtrees are built *here*, from the merged
-        // outcomes, so the recorded tree is independent of worker
-        // scheduling: parallel and sequential sweeps report identically.
+        // smallest τ on ties. Per-τ observability subtrees are built
+        // *here*, from the merged outcomes, so the recorded tree is
+        // independent of worker scheduling.
         let sweep_span = obs.span("tau_sweep");
         let mut reports = Vec::with_capacity(outcomes.len());
         let mut stats = DpStats::default();
@@ -288,18 +226,8 @@ impl OnePlusEps {
         )
     }
 
-    /// Solves the truncated DP for one τ = 2^k, reusing `ws`'s
-    /// allocations (the workspace is cleared inside `run_int_dp_in` —
-    /// truncated coefficients differ per τ, so only capacity carries
-    /// over).
-    fn solve_tau(
-        &self,
-        ws: &mut DpWorkspace<RowId, i64>,
-        b: usize,
-        eps_internal: f64,
-        hops: f64,
-        k: i64,
-    ) -> TauOutcome {
+    /// Solves the truncated DP for one τ = 2^k.
+    fn solve_tau(&self, b: usize, eps_internal: f64, hops: f64, k: i64) -> TauOutcome {
         let tau = 1i64 << k;
         let k_tau = (eps_internal * tau as f64 / hops).max(f64::MIN_POSITIVE);
         let forced: Vec<bool> = self.scaled.coeffs.iter().map(|&c| c.abs() > tau).collect();
@@ -322,7 +250,7 @@ impl OnePlusEps {
             .iter()
             .map(|&c| (c as f64 / k_tau).floor() as i64)
             .collect();
-        let outcome = run_int_dp_in(ws, &self.tree, &truncated, Some(&forced), b);
+        let outcome = run_int_dp(&self.tree, &truncated, Some(&forced), b);
         let Some(dp_val) = outcome.feasible_value() else {
             return TauOutcome {
                 report: TauReport {
@@ -431,9 +359,10 @@ mod tests {
             "workload too small for an 8-τ sweep (RZ = {})",
             scheme.rz()
         );
+        let noop = Collector::noop();
         for (b, eps) in [(2usize, 0.5), (4, 0.25), (8, 0.1)] {
-            let (par, par_reports) = scheme.run_with_reports(b, eps);
-            let (seq, seq_reports) = scheme.run_with_reports_sequential(b, eps);
+            let (par, par_reports) = scheme.run_with(b, eps, &Pool::with_threads(4), &noop);
+            let (seq, seq_reports) = scheme.run_with(b, eps, &Pool::with_threads(1), &noop);
             assert_eq!(
                 par.true_objective.to_bits(),
                 seq.true_objective.to_bits(),
@@ -441,7 +370,7 @@ mod tests {
             );
             assert_eq!(par.dp_objective.to_bits(), seq.dp_objective.to_bits());
             assert_eq!(par.synopsis, seq.synopsis, "b={b} eps={eps}");
-            assert_eq!(par.stats, seq.stats);
+            assert_eq!(par.stats, seq.stats, "b={b} eps={eps}: DpStats differ");
             assert_eq!(par_reports, seq_reports);
         }
     }
@@ -451,7 +380,7 @@ mod tests {
         let shape = cube_shape(4, 2);
         let data: Vec<i64> = (0..16).map(|i| i64::from(i * i % 13)).collect();
         let scheme = OnePlusEps::new(&shape, &data).unwrap();
-        let (r, reports) = scheme.run_with_reports(4, 0.25);
+        let (r, reports) = scheme.run_with(4, 0.25, &Pool::new(), &Collector::noop());
         assert!(!reports.is_empty());
         // Taus are the powers of two covering [1, 2^ceil(log RZ)].
         for w in reports.windows(2) {

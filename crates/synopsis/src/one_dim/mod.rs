@@ -245,13 +245,6 @@ impl MinMaxErr {
         })
     }
 
-    /// Builds the solver from an existing error tree (reconstructs the data
-    /// it encodes).
-    pub fn from_tree(tree: ErrorTree1d) -> Self {
-        let data = tree.reconstruct_all();
-        Self { tree, data }
-    }
-
     /// The underlying error tree.
     pub fn tree(&self) -> &ErrorTree1d {
         &self.tree

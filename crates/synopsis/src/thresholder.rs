@@ -20,7 +20,7 @@
 //! [`WsynError::Unsupported`] rather than silently substituting a
 //! different computation.
 
-use wsyn_core::{DpStats, WsynError};
+use wsyn_core::{DpStats, Pool, WsynError};
 use wsyn_haar::{ErrorTree1d, HaarError};
 use wsyn_obs::Collector;
 
@@ -397,7 +397,7 @@ impl Thresholder for OnePlusEps {
             ));
         }
         let _run = params.obs.span("oneplus");
-        let r = self.run_observed(params.budget, params.eps, &params.obs);
+        let (r, _) = self.run_with(params.budget, params.eps, &Pool::new(), &params.obs);
         params.obs.record_dp_stats(&r.stats);
         Ok(ThresholdRun {
             synopsis: AnySynopsis::Nd(r.synopsis),
@@ -497,17 +497,13 @@ mod tests {
         }
     }
 
-    /// Data near `f64::MAX` overflows the transform or the
-    /// reconstruction, so the DP's objective is not the synopsis's
-    /// error (0 for the first input at budget 8, NaN for the second at
-    /// budget 1). Both trait methods refuse to publish it.
+    /// Data near `f64::MAX` can overflow the reconstruction, so the DP's
+    /// objective (about `MAX/4` for both inputs) is not the synopsis's
+    /// error. Both trait methods refuse to publish it.
     #[test]
     fn overflowing_data_gets_a_typed_refusal_not_a_certificate() {
         let max = f64::MAX;
-        let cases: [(&[f64], usize); 2] = [
-            (&[max, -max, max, 0.0], 8),
-            (&[1e308, 1e308, -1e308, 1e308], 1),
-        ];
+        let cases: [(&[f64], usize); 2] = [(&[max, -max, max, 0.0], 3), (&[max, max, max, 0.0], 2)];
         let mut scratch = SolverScratch::new();
         for (data, b) in cases {
             let s = MinMaxErr::new(data).unwrap();
@@ -530,6 +526,28 @@ mod tests {
             reused.objective.to_bits(),
             s.threshold_with(&params).unwrap().objective.to_bits()
         );
+    }
+
+    /// Cells whose pairwise sum or difference passes `f64::MAX` still get
+    /// finite coefficients (the transform halves before it adds), so
+    /// these inputs are certified with their true error.
+    #[test]
+    fn cells_summing_past_max_are_certified() {
+        let max = f64::MAX;
+        let cases: [(&[f64], usize, f64); 2] = [
+            (&[max, -max, max, 0.0], 8, 0.0),
+            (&[1e308, 1e308, -1e308, 1e308], 1, 1e308),
+        ];
+        for (data, b, objective) in cases {
+            let run = MinMaxErr::new(data)
+                .unwrap()
+                .threshold_with(&RunParams::new(b, ErrorMetric::absolute()))
+                .unwrap_or_else(|e| panic!("{data:?} b={b}: {e}"));
+            assert_eq!(run.objective, objective, "{data:?} b={b}");
+            let recon = run.synopsis.into_one("t").unwrap().reconstruct();
+            let realized = ErrorMetric::absolute().max_error(data, &recon);
+            assert_eq!(realized, objective, "{data:?} b={b}");
+        }
     }
 
     /// Non-dyadic data near `1e8` rounds in the transform and the

@@ -11,7 +11,7 @@ use wavelet_synopses::datagen::{cube_bumps, quantize_to_i64};
 use wavelet_synopses::haar::nd::{NdArray, NdShape};
 use wavelet_synopses::synopsis::multi_dim::additive::AdditiveScheme;
 use wavelet_synopses::synopsis::multi_dim::oneplus::OnePlusEps;
-use wavelet_synopses::synopsis::ErrorMetric;
+use wavelet_synopses::synopsis::{Collector, ErrorMetric, Pool};
 
 fn main() {
     let side = 16usize;
@@ -40,7 +40,7 @@ fn main() {
 
     // (1+ε) scheme for max absolute error on the integer cube.
     let oneplus = OnePlusEps::new(&shape, &sales_int).unwrap();
-    let (abs, reports) = oneplus.run_with_reports(budget, 0.25);
+    let (abs, reports) = oneplus.run_with(budget, 0.25, &Pool::new(), &Collector::noop());
     println!(
         "(1+eps) scheme  (absolute, eps=0.25)     : retained {}, max abs err {:.2}",
         abs.synopsis.len(),

@@ -24,8 +24,8 @@
 //! * [`aqp`] — an approximate-query-processing engine answering point and
 //!   range-aggregate queries directly from synopses.
 //! * [`stream`] — dynamic maintenance: exact `O(log N)` coefficient
-//!   updates, incrementally maintained synopses, and guarantee-preserving
-//!   rebuild policies.
+//!   updates, a guarantee-preserving rebuild policy over the optimal DP,
+//!   and one-pass streaming construction.
 //! * [`datagen`] — seeded synthetic workload generators.
 //!
 //! ## Quickstart

@@ -27,9 +27,8 @@ pub use step_engine::StepEngine;
 
 use std::ops::Range;
 
-use wsyn_core::WsynError;
 use wsyn_haar::{transform, HaarError};
-use wsyn_synopsis::{ErrorMetric, RunParams, Synopsis1d, SynopsisNd, Thresholder};
+use wsyn_synopsis::{Synopsis1d, SynopsisNd};
 
 /// Query engine over a one-dimensional wavelet synopsis.
 #[derive(Debug, Clone)]
@@ -294,63 +293,15 @@ impl SelectivityEstimator {
     }
 }
 
-/// Convenience: evaluate a synopsis's guaranteed maximum error, for feeding
-/// [`bounds`] (re-exported from `wsyn-synopsis` evaluation).
-pub fn synopsis_max_error(synopsis: &Synopsis1d, data: &[f64], metric: ErrorMetric) -> f64 {
-    synopsis.max_error(data, metric)
-}
-
-/// Builds a [`QueryEngine1d`] from any [`Thresholder`], returning the
-/// engine together with the run's objective (a guaranteed bound when
-/// `thresholder.has_guarantee()`, a measured error otherwise — feed it to
-/// [`bounds`] only in the former case).
-///
-/// # Errors
-/// Propagates the thresholder's refusal, or reports a non-1-D synopsis.
-pub fn engine_from_thresholder(
-    thresholder: &dyn Thresholder,
-    b: usize,
-    metric: ErrorMetric,
-) -> Result<(QueryEngine1d, f64), WsynError> {
-    engine_with_params(thresholder, &RunParams::new(b, metric))
-}
-
-/// As [`engine_from_thresholder`], with full [`RunParams`] control — in
-/// particular an observability collector: the solver's spans land under
-/// an `aqp_build` scope, so a run report shows synopsis construction as
-/// a phase of engine building.
-///
-/// # Errors
-/// Propagates the thresholder's refusal, or reports a non-1-D synopsis.
-pub fn engine_with_params(
-    thresholder: &dyn Thresholder,
-    params: &RunParams,
-) -> Result<(QueryEngine1d, f64), WsynError> {
-    let _span = params.obs.span("aqp_build");
-    let run = thresholder.threshold_with(params)?;
-    params.obs.add("retained", run.synopsis.len());
-    let synopsis = run.synopsis.into_one("a 1-D query engine")?;
-    Ok((QueryEngine1d::new(synopsis), run.objective))
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::needless_range_loop)] // index loops read clearer in assertions
     use super::*;
     use wsyn_haar::ErrorTree1d as Tree;
     use wsyn_synopsis::one_dim::MinMaxErr;
+    use wsyn_synopsis::ErrorMetric;
 
     const EXAMPLE: [f64; 8] = [2.0, 2.0, 0.0, 2.0, 3.0, 5.0, 4.0, 4.0];
-
-    #[test]
-    fn engine_from_any_thresholder() {
-        let t = MinMaxErr::new(&EXAMPLE).unwrap();
-        let (engine, obj) = engine_from_thresholder(&t, 3, ErrorMetric::absolute()).unwrap();
-        // The guaranteed bound holds for every point answer.
-        for (i, &d) in EXAMPLE.iter().enumerate() {
-            assert!((engine.point(i) - d).abs() <= obj + 1e-9);
-        }
-    }
 
     fn full_synopsis(data: &[f64]) -> Synopsis1d {
         let tree = Tree::from_data(data).unwrap();
@@ -509,6 +460,7 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
     use wsyn_synopsis::one_dim::MinMaxErr;
+    use wsyn_synopsis::ErrorMetric;
 
     proptest! {
         #[test]

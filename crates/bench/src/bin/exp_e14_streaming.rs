@@ -5,7 +5,8 @@
 //! maintenance policies for a budget-`B` synopsis:
 //!
 //! 1. **static** — build once, never update (guarantee decays);
-//! 2. **adaptive** — `wsyn-stream`'s rebuild policy (rebuild when the
+//! 2. **adaptive** — a server column (`wsyn_serve::Column`) draining the
+//!    updates under `wsyn-stream`'s rebuild policy (rebuild when the
 //!    conservative drift bound exceeds `tolerance ×` the built objective);
 //! 3. **always-rebuild** — re-run the DP after every update (the quality
 //!    ceiling, at absurd cost).
@@ -17,7 +18,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wsyn_bench::{f, md_table, timed};
 use wsyn_datagen::{zipf, ZipfPlacement};
-use wsyn_stream::{AdaptiveMaxErrSynopsis, DynamicErrorTree};
+use wsyn_obs::Collector;
+use wsyn_serve::Column;
+use wsyn_stream::DynamicErrorTree;
 use wsyn_synopsis::one_dim::MinMaxErr;
 use wsyn_synopsis::ErrorMetric;
 
@@ -38,19 +41,27 @@ fn main() {
 
     // Policies.
     let static_syn = MinMaxErr::new(&data).unwrap().run(b, metric).synopsis;
-    let mut adaptive = AdaptiveMaxErrSynopsis::new(&data, b, metric, 2.0).unwrap();
+    let obs = Collector::noop();
+    let mut adaptive = Column::new(&data, 2.0).unwrap();
+    adaptive.build(b, "abs", None, &obs).unwrap();
     let mut current = data.clone();
     let mut rebuild_errs: Vec<(usize, f64, f64, f64)> = Vec::new();
 
-    for (step, &(i, delta)) in stream.iter().enumerate() {
-        current[i] += delta;
-        adaptive.update(i, delta).unwrap();
-        if (step + 1) % 500 == 0 {
-            let static_err = static_syn.max_error(&current, metric);
-            let adaptive_err = adaptive.synopsis().max_error(&current, metric);
-            let fresh = MinMaxErr::new(&current).unwrap().run(b, metric).objective;
-            rebuild_errs.push((step + 1, static_err, adaptive_err, fresh));
+    for (k, batch) in stream.chunks(500).enumerate() {
+        for &(i, delta) in batch {
+            current[i] += delta;
         }
+        adaptive.enqueue(batch).unwrap();
+        adaptive.drain(&obs).unwrap();
+        let static_err = static_syn.max_error(&current, metric);
+        let engine = &adaptive.built().unwrap().engine;
+        let adaptive_err = engine
+            .as_wavelet()
+            .unwrap()
+            .synopsis()
+            .max_error(&current, metric);
+        let fresh = MinMaxErr::new(&current).unwrap().run(b, metric).objective;
+        rebuild_errs.push(((k + 1) * 500, static_err, adaptive_err, fresh));
     }
 
     let mut rows = Vec::new();

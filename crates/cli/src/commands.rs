@@ -1,6 +1,6 @@
 //! Subcommand implementations.
 
-use wsyn_aqp::{bounds, QueryEngine1d, StepEngine};
+use wsyn_aqp::{QueryEngine1d, StepEngine};
 use wsyn_datagen as datagen;
 use wsyn_haar::transform;
 use wsyn_obs::Collector;
@@ -9,7 +9,7 @@ use wsyn_synopsis::family::{GuaranteeKind, MetricSupport};
 use wsyn_synopsis::thresholder::RunParams;
 use wsyn_synopsis::{rmse, AnySynopsis, ErrorMetric};
 
-use crate::args::{parse_metric, Args};
+use crate::args::Args;
 use crate::io::{self, SynopsisDoc, SynopsisPayload};
 
 /// Top-level usage text.
@@ -133,7 +133,7 @@ fn build(a: &Args) -> Result<(), String> {
     let data = io::read_data(a.req("input")?)?;
     let budget: usize = a.req_parse("budget")?;
     let metric_spec = a.opt("metric").unwrap_or("rel:1.0").to_string();
-    let metric = parse_metric(&metric_spec)?;
+    let metric = ErrorMetric::parse(&metric_spec).map_err(|e| e.to_string())?;
     let algo = a.opt("algo").unwrap_or("minmax");
     let out = a.req("out")?;
     let report_path = a.opt("report").map(str::to_string);
@@ -227,7 +227,7 @@ fn eval(a: &Args) -> Result<(), String> {
         .map(str::to_string)
         .or_else(|| doc.metric.clone())
         .unwrap_or_else(|| "rel:1.0".into());
-    let metric = parse_metric(&metric_spec)?;
+    let metric = ErrorMetric::parse(&metric_spec).map_err(|e| e.to_string())?;
     let recon = doc.payload.reconstruct();
     println!("algorithm          : {}", doc.algorithm);
     println!("{:<19}: {}", doc.payload.unit(), doc.payload.len());
@@ -328,27 +328,32 @@ fn query_server(a: &Args) -> Result<(), String> {
         .get("est")
         .and_then(wsyn_core::json::Value::as_f64)
         .ok_or_else(|| "server sent no estimate".to_string())?;
+    let interval = answer
+        .get("interval")
+        .and_then(wsyn_core::json::Value::as_array)
+        .map(|iv| {
+            // Non-finite interval ends serialize as JSON null; restore them.
+            let end = |k: usize, missing: f64| {
+                iv.get(k)
+                    .and_then(wsyn_core::json::Value::as_f64)
+                    .unwrap_or(missing)
+            };
+            (end(0, f64::NEG_INFINITY), end(1, f64::INFINITY))
+        });
+    print_answer(kind, est, interval);
+    Ok(())
+}
+
+/// Prints an answer the same way in both query modes.
+fn print_answer(kind: wsyn_serve::QueryKind, est: f64, interval: Option<(f64, f64)>) {
     match kind {
         wsyn_serve::QueryKind::Point(i) => println!("point({i}) = {est}"),
         wsyn_serve::QueryKind::RangeSum(lo, hi) => println!("sum[{lo}, {hi}) = {est}"),
         wsyn_serve::QueryKind::RangeAvg(lo, hi) => println!("avg[{lo}, {hi}) = {est}"),
     }
-    if let Some(iv) = answer
-        .get("interval")
-        .and_then(wsyn_core::json::Value::as_array)
-    {
-        // Non-finite interval ends serialize as JSON null; restore them.
-        let lo = iv
-            .first()
-            .and_then(wsyn_core::json::Value::as_f64)
-            .unwrap_or(f64::NEG_INFINITY);
-        let hi = iv
-            .get(1)
-            .and_then(wsyn_core::json::Value::as_f64)
-            .unwrap_or(f64::INFINITY);
+    if let Some((lo, hi)) = interval {
         println!("guaranteed interval: [{lo}, {hi}]");
     }
-    Ok(())
 }
 
 fn query(a: &Args) -> Result<(), String> {
@@ -357,65 +362,24 @@ fn query(a: &Args) -> Result<(), String> {
     }
     a.ensure_known(&["synopsis"])?;
     let doc = io::read_synopsis(a.req("synopsis")?)?;
-    // Both families answer the same workload; the interval derivations
-    // below consume only (estimate, guarantee) pairs.
+    let kind = parse_query(&a.positional, doc.payload.n())?;
     let engine = match &doc.payload {
         SynopsisPayload::Wavelet(s) => BuiltEngine::Wavelet(QueryEngine1d::new(s.clone())),
         SynopsisPayload::Histogram(s) => BuiltEngine::Hist(StepEngine::new(s.clone())),
     };
-    let pos = &a.positional;
-    let n = doc.payload.n();
-    let parse_idx = |s: &str, what: &str| -> Result<usize, String> {
-        let v: usize = s.parse().map_err(|_| format!("bad {what} '{s}'"))?;
-        if v > n {
-            return Err(format!("{what} {v} out of range (N = {n})"));
-        }
-        Ok(v)
+    // A document without a guarantee answers under an infinite one, and
+    // its interval is not printed.
+    let guarantee = match (doc.objective, doc.metric.as_deref()) {
+        (Some(objective), Some(spec)) => Some((
+            ErrorMetric::parse(spec).map_err(|e| e.to_string())?,
+            objective,
+        )),
+        _ => None,
     };
-    match pos.first().map(String::as_str) {
-        Some("point") => {
-            let [_, i] = pos.as_slice() else {
-                return Err("usage: query point <i>".into());
-            };
-            let i = parse_idx(i, "index")?;
-            if i >= n {
-                return Err(format!("index {i} out of range (N = {n})"));
-            }
-            let est = engine.point(i) + 0.0; // normalizes -0
-            println!("point({i}) = {est}");
-            if let (Some(obj), Some(metric)) = (doc.objective, doc.metric.as_deref()) {
-                let iv = match parse_metric(metric)? {
-                    ErrorMetric::Absolute => bounds::point_absolute(est, obj),
-                    ErrorMetric::Relative { sanity } => bounds::point_relative(est, obj, sanity),
-                };
-                println!("guaranteed interval: [{}, {}]", iv.lo, iv.hi);
-            }
-        }
-        Some("range") | Some("avg") => {
-            let [kind, lo, hi] = pos.as_slice() else {
-                return Err("usage: query range|avg <lo> <hi>".into());
-            };
-            let lo = parse_idx(lo, "lo")?;
-            let hi = parse_idx(hi, "hi")?;
-            if lo > hi {
-                return Err(format!("empty range [{lo}, {hi})"));
-            }
-            if kind == "range" {
-                let est = engine.range_sum(lo..hi) + 0.0; // normalizes -0
-                println!("sum[{lo}, {hi}) = {est}");
-                if let (Some(obj), Some("abs")) = (doc.objective, doc.metric.as_deref()) {
-                    let iv = bounds::range_sum_absolute(est, obj, hi - lo);
-                    println!("guaranteed interval: [{}, {}]", iv.lo, iv.hi);
-                }
-            } else {
-                if lo == hi {
-                    return Err("empty range for avg".into());
-                }
-                println!("avg[{lo}, {hi}) = {}", engine.range_avg(lo..hi) + 0.0);
-            }
-        }
-        _ => return Err("usage: query point <i> | range <lo> <hi> | avg <lo> <hi>".into()),
-    }
+    let (metric, objective) = guarantee.unwrap_or((ErrorMetric::Absolute, f64::INFINITY));
+    let answer = engine.answer(kind, metric, objective, 0.0)?;
+    let interval = answer.interval.filter(|_| guarantee.is_some());
+    print_answer(kind, answer.est, interval.map(|iv| (iv.lo, iv.hi)));
     Ok(())
 }
 
@@ -730,6 +694,21 @@ mod tests {
             let err = dispatch(&argv).expect_err("refused");
             assert!(err.contains(needle), "{flags:?}: {err}");
             assert!(!std::path::Path::new(&syn_path).exists(), "{flags:?}");
+        }
+        // A malformed metric spec is an error naming the spec, never a
+        // panic, and writes no synopsis.
+        let data_path = format!("{dir}/metric-data.txt");
+        let syn_path = format!("{dir}/metric-syn.json");
+        crate::io::write_data(&data_path, &[2.0, 0.0, 3.0, 5.0]).unwrap();
+        let _ = std::fs::remove_file(&syn_path);
+        for spec in ["rel:nan", "rel:inf", "rel:0", "l2"] {
+            let err = dispatch(&v(&[
+                "build", "--input", &data_path, "--budget", "2", "--metric", spec, "--out",
+                &syn_path,
+            ]))
+            .expect_err(spec);
+            assert!(err.contains(&format!("'{spec}'")), "{spec}: {err}");
+            assert!(!std::path::Path::new(&syn_path).exists(), "{spec}");
         }
     }
 

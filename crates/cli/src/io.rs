@@ -161,7 +161,12 @@ impl SynopsisDoc {
         let objective = match v.get("objective") {
             None => None,
             Some(Value::Null) => None,
-            Some(o) => Some(o.as_f64().ok_or("'objective' is not a number")?),
+            // A guarantee bounds an error, so it is never negative.
+            Some(o) => Some(
+                o.as_f64()
+                    .filter(|x| *x >= 0.0)
+                    .ok_or("'objective' is not a non-negative number")?,
+            ),
         };
         let syn = field("synopsis")?;
         let n = syn
@@ -287,6 +292,14 @@ mod tests {
         .unwrap();
         let err = read_synopsis(path.to_str().unwrap()).unwrap_err();
         assert!(err.contains("sorted"), "{err}");
+        std::fs::write(
+            &path,
+            r#"{"algorithm":"minmax","metric":"rel:1","objective":-1,
+                "synopsis":{"n":8,"entries":[[0,1.0]]}}"#,
+        )
+        .unwrap();
+        let err = read_synopsis(path.to_str().unwrap()).unwrap_err();
+        assert!(err.contains("non-negative"), "{err}");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   ([`Thresholder::threshold_with_reusing`]) vs. cold runs;
 //! * the τ-sweep of [`OnePlusEps`] through a multi-thread pool vs. a
 //!   one-thread pool (the sequential reference);
-//! * a streaming rebuild ([`wsyn_stream::AdaptiveMaxErrSynopsis`]) vs. a
-//!   from-scratch solve on the same post-update data.
+//! * a server column's rebuild after updates ([`wsyn_serve::Column`])
+//!   vs. a from-scratch solve on the same post-update data.
 //!
 //! **Near twins** (same optimum through different arithmetic — equal
 //! within `1e-9`): [`IntegerExact`] vs. [`MinMaxErr`] on 1-D instances,
@@ -32,7 +32,7 @@
 use wsyn_core::{DpStats, Pool};
 use wsyn_haar::nd::{NdArray, NdShape};
 use wsyn_obs::Collector;
-use wsyn_stream::AdaptiveMaxErrSynopsis;
+use wsyn_serve::Column;
 use wsyn_synopsis::multi_dim::additive::AdditiveScheme;
 use wsyn_synopsis::multi_dim::integer::IntegerExact;
 use wsyn_synopsis::multi_dim::oneplus::OnePlusEps;
@@ -320,8 +320,9 @@ fn check_one_dim(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure>
     Ok(())
 }
 
-/// Streaming: after the instance's updates, a forced rebuild must be a
-/// bit-exact twin of thresholding the post-update data from scratch.
+/// Streaming: after the instance's updates reach a server column, a
+/// forced rebuild must be a bit-exact twin of thresholding the
+/// post-update data from scratch.
 fn check_stream_rebuild(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failure> {
     let name = &inst.name;
     if inst.updates.is_empty() {
@@ -337,40 +338,50 @@ fn check_stream_rebuild(inst: &Instance, sum: &mut CheckSummary) -> Result<(), F
         .filter(|&b| b >= 1 && b <= n / 2)
         .max()
         .unwrap_or(1);
+    let updates: Vec<(usize, f64)> = inst.updates.iter().map(|&(i, d)| (i, d as f64)).collect();
+    // The column keeps its data to itself; the fresh solve needs a copy.
+    let mut updated = data.clone();
+    for &(i, d) in &updates {
+        updated[i] += d;
+    }
+    let obs = Collector::noop();
     for &spec in &inst.metrics {
         let metric = spec.metric();
-        let mut adaptive = AdaptiveMaxErrSynopsis::new(&data, b, metric, 2.0)
-            .map_err(|e| Failure::new("stream-build", name, e.to_string()))?;
-        for &(i, d) in &inst.updates {
-            adaptive
-                .update(i, d as f64)
-                .map_err(|e| Failure::new("stream-update", name, e.to_string()))?;
-        }
-        adaptive
-            .rebuild()
-            .map_err(|e| Failure::new("stream-rebuild", name, e.to_string()))?;
-        let fresh = MinMaxErr::new(adaptive.tree().data())
+        let mut column =
+            Column::new(&data, 2.0).map_err(|e| Failure::new("stream-build", name, e))?;
+        column
+            .build(b, &spec.id(), None, &obs)
+            .map_err(|e| Failure::new("stream-build", name, e))?;
+        column
+            .enqueue(&updates)
+            .map_err(|e| Failure::new("stream-update", name, e))?;
+        column
+            .drain(&obs)
+            .map_err(|e| Failure::new("stream-update", name, e))?;
+        let rebuilt = column
+            .build(b, &spec.id(), None, &obs)
+            .map_err(|e| Failure::new("stream-rebuild", name, e))?;
+        let (objective, kept) = (rebuilt.objective, rebuilt.engine.retained());
+        let fresh = MinMaxErr::new(&updated)
             .map_err(|e| Failure::new("stream-rebuild", name, e.to_string()))?
             .run(b, metric);
         sum.stats = sum.stats.merged(fresh.stats);
         ensure!(
             sum,
-            adaptive.built_objective().to_bits() == fresh.objective.to_bits(),
+            objective.to_bits() == fresh.objective.to_bits(),
             "stream-rebuild-bits",
             name,
-            "b={b} {}: rebuild objective {} vs from-scratch {}",
+            "b={b} {}: rebuild objective {objective} vs from-scratch {}",
             spec.id(),
-            adaptive.built_objective(),
             fresh.objective
         );
         ensure!(
             sum,
-            adaptive.synopsis().indices() == fresh.synopsis.indices(),
+            kept == fresh.synopsis.indices(),
             "stream-rebuild-set",
             name,
-            "b={b} {}: rebuild kept {:?}, from-scratch kept {:?}",
+            "b={b} {}: rebuild kept {kept:?}, from-scratch kept {:?}",
             spec.id(),
-            adaptive.synopsis().indices(),
             fresh.synopsis.indices()
         );
     }

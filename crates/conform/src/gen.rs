@@ -42,24 +42,15 @@ impl MetricSpec {
         }
     }
 
-    /// Parses [`MetricSpec::id`] output.
+    /// Parses [`MetricSpec::id`] output with [`ErrorMetric::parse`].
     ///
     /// # Errors
     /// Describes the malformed spec.
     pub fn parse(text: &str) -> Result<MetricSpec, String> {
-        if text == "abs" {
-            return Ok(MetricSpec::Abs);
-        }
-        if let Some(s) = text.strip_prefix("rel:") {
-            let sanity: f64 = s
-                .parse()
-                .map_err(|e| format!("bad sanity bound `{s}`: {e}"))?;
-            if sanity > 0.0 {
-                return Ok(MetricSpec::Rel(sanity));
-            }
-            return Err(format!("sanity bound must be positive, got {sanity}"));
-        }
-        Err(format!("unknown metric `{text}` (want `abs` or `rel:<s>`)"))
+        Ok(match ErrorMetric::parse(text).map_err(|e| e.to_string())? {
+            ErrorMetric::Absolute => MetricSpec::Abs,
+            ErrorMetric::Relative { sanity } => MetricSpec::Rel(sanity),
+        })
     }
 }
 

@@ -13,8 +13,7 @@
 //!   reconstruction formula of Equation (1);
 //! * multi-dimensional Haar wavelets (§2.2): the **nonstandard**
 //!   decomposition with its error tree of `2^D - 1`-coefficient nodes and
-//!   `2^D` children per node (Figures 1(b) and 2), and the **standard**
-//!   decomposition ([`nd`]);
+//!   `2^D` children per node (Figures 1(b) and 2) ([`nd`]);
 //! * integer-scaled transforms ([`int`]) backing the `(1+ε)` absolute-error
 //!   scheme of §3.2.2, which requires integral coefficients.
 //!

@@ -1,16 +1,10 @@
 //! Multi-dimensional Haar wavelets (§2.2 of the paper).
 //!
-//! Two decompositions are provided, both natural generalizations of the
-//! one-dimensional transform:
-//!
-//! * [`nonstandard`] — the **nonstandard** decomposition used by the paper's
-//!   multi-dimensional error tree (Figures 1(b) and 2): at every resolution
-//!   level, one pairwise averaging/differencing step is applied along *each*
-//!   dimension, then the algorithm recurses on the low-pass hypercube.
-//!   Requires all sides equal (a `2^m` hypercube).
-//! * [`standard`] — the **standard** decomposition: the *full* 1-D transform
-//!   is applied along each dimension in turn. Accepts unequal power-of-two
-//!   sides.
+//! [`nonstandard`] implements the **nonstandard** decomposition used by the
+//! paper's multi-dimensional error tree (Figures 1(b) and 2): at every
+//! resolution level, one pairwise averaging/differencing step is applied
+//! along *each* dimension, then the algorithm recurses on the low-pass
+//! hypercube. It requires all sides equal (a `2^m` hypercube).
 //!
 //! [`tree::ErrorTreeNd`] exposes the nonstandard coefficients as the error
 //! tree of §2.2: each non-root node holds the `2^D - 1` coefficients sharing
@@ -18,7 +12,6 @@
 //! the root holds the single overall average and has one child.
 
 pub mod nonstandard;
-pub mod standard;
 pub mod tree;
 
 pub use tree::{ErrorTreeNd, NodeChildren, NodeCoeff, NodeRef};
@@ -160,11 +153,6 @@ impl NdArray {
     #[inline]
     pub fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes the array, returning shape and buffer.
-    pub fn into_parts(self) -> (NdShape, Vec<f64>) {
-        (self.shape, self.data)
     }
 
     /// Cell value at multi-dimensional `coords`.

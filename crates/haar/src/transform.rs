@@ -10,7 +10,7 @@
 //! `W_A = [11/4, -5/4, 1/2, 0, 0, -1, -1, 0]` — reproduced exactly by the
 //! unit tests below (f64 arithmetic on dyadic rationals is exact).
 
-use crate::{is_pow2, log2_exact, HaarError};
+use crate::{is_pow2, HaarError};
 
 /// Computes the unnormalized 1-D Haar wavelet transform of `data`.
 ///
@@ -155,12 +155,6 @@ pub fn energy(coeffs: &[f64]) -> f64 {
         .enumerate()
         .map(|(i, &c)| c * c * support_len(i, n) as f64)
         .sum()
-}
-
-/// Number of resolution levels in a domain of `n = 2^m` values (`m`).
-#[inline]
-pub fn num_levels(n: usize) -> u32 {
-    log2_exact(n)
 }
 
 #[cfg(test)]

@@ -292,13 +292,6 @@ impl ErrorTree1d {
             .sum()
     }
 
-    /// The data (leaf) indices underneath internal node `c_j` — identical to
-    /// [`Self::support`] for `j >= 1`, and the whole domain for `j = 0`.
-    #[inline]
-    pub fn leaves_under(&self, j: usize) -> std::ops::Range<usize> {
-        self.support(j)
-    }
-
     /// Per-node subtree maxima of an arbitrary per-leaf value, in the
     /// combined-array indexing of the incoming-error DPs: slot `n + i`
     /// holds `leaf_vals[i]` itself, slot `j` (`1 <= j < n`) holds the

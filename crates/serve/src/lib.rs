@@ -10,9 +10,9 @@
 //!
 //! * [`protocol`] — versioned frames carrying canonical-bytes JSON; the
 //!   codec both sides of the `server-identity` byte-diff rely on.
-//! * [`store`] — the per-column state machine: batched ingest through
-//!   the streaming rebuild policy, scratch-reusing builds, per-answer
-//!   error intervals from `wsyn-aqp`.
+//! * [`store`] — the per-column state machine: batched ingest under
+//!   `wsyn-stream`'s rebuild policy, scratch-reusing builds, and the one
+//!   derivation of per-answer error intervals from `wsyn-aqp`.
 //! * [`shard`] — deterministic FNV-1a column routing and the worker
 //!   loop; per-column operations serialize lock-free through their one
 //!   owning shard.

@@ -115,14 +115,6 @@ impl Server {
         self.addr
     }
 
-    /// A handle that makes [`Server::run`] return: store `true`, then
-    /// open-and-drop a connection to [`Server::local_addr`] (or just
-    /// send a `Shutdown` request, which does both).
-    #[must_use]
-    pub fn stop_handle(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
     /// Serves until shutdown. Each accepted connection gets a handler
     /// thread; handlers outlive `run` only while their client keeps the
     /// connection open (shard workers drain outstanding jobs and exit

@@ -258,7 +258,7 @@ fn stream_built_fields(built: &StreamBuilt) -> Vec<(&'static str, Value)> {
         ("dp_objective", Value::Number(built.dp_objective)),
         (
             "retained",
-            Value::Number(built.engine.synopsis().len() as f64),
+            Value::Number(built.engine.retained().len() as f64),
         ),
         ("peak_cells", Value::Number(built.peak_cells as f64)),
         ("peak_bytes", Value::Number(built.peak_bytes as f64)),

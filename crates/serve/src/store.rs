@@ -1,25 +1,27 @@
 //! Per-column state: data, synopsis, guarantee, and reusable solver
 //! storage.
 //!
-//! A [`Column`] owns its data (a plain vector, O(1) per point update),
-//! the most recent build ([`Built`]: synopsis, objective, metric, drift
-//! bookkeeping), and a persistent [`SolverScratch`]. Every build solves
-//! the column's current data with a fresh [`MinMaxErr`] (an O(N)
-//! transform beside the DP) and runs
-//! [`Thresholder::threshold_with_reusing`] with that scratch: the DP
+//! A [`Column`] is the workspace's one dynamic synopsis: it owns its
+//! data (a plain vector, O(1) per point update), the most recent build
+//! ([`Built`]: synopsis, objective, metric, drift bookkeeping), and a
+//! persistent [`SolverScratch`]. Every build solves the column's current
+//! data with a fresh [`MinMaxErr`] (an O(N) transform beside the DP) and
+//! runs [`Thresholder::threshold_with_reusing`] with that scratch: the DP
 //! clears the memo inside and keeps its allocation, so drift rebuilds
-//! skip the memo growth ramp — the same reuse
-//! [`wsyn_stream::AdaptiveMaxErrSynopsis`] makes for streaming rebuilds.
-//! No DP state carries over from one build to the next.
+//! skip the memo growth ramp. No DP state carries over from one build to
+//! the next.
 //!
 //! Point updates are *batched*: [`Column::enqueue`] validates and queues
 //! them (the cheap ack on the ingest path), and [`Column::drain`]
 //! applies them to the data one at a time — deciding rebuilds with
-//! the same [`RebuildPolicy`] `AdaptiveMaxErrSynopsis::update` calls —
-//! before the next build, query, flush, or info touches the column. The
-//! rebuild decision therefore depends only on the update sequence, never
-//! on when the drain runs, which is what keeps server answers
-//! byte-identical to library answers.
+//! [`RebuildPolicy::degraded`] after each one — before the next build,
+//! query, flush, or info touches the column. The rebuild decision
+//! therefore depends only on the update sequence, never on when the
+//! drain runs, which is what keeps server answers byte-identical to
+//! library answers.
+//!
+//! Every answer — a dynamic column's, a finalized stream's, and the
+//! CLI's from a synopsis file — is derived by [`BuiltEngine::answer`].
 //!
 //! Builds are **family-aware**: a build request may name a synopsis
 //! family from the workspace registry (`minmax`, `hist`, or the
@@ -42,33 +44,10 @@ use wsyn_synopsis::{ErrorMetric, Thresholder};
 
 use crate::protocol::QueryKind;
 
-/// Parses a metric spec string: `abs` or `rel:<sanity>` (the CLI's
-/// `--metric` grammar and [`wsyn_synopsis::ErrorMetric`]'s stable ids).
-///
-/// # Errors
-/// A message naming the malformed spec.
-pub fn parse_metric(spec: &str) -> Result<ErrorMetric, String> {
-    if spec == "abs" {
-        return Ok(ErrorMetric::absolute());
-    }
-    if let Some(s) = spec.strip_prefix("rel:") {
-        let sanity: f64 = s
-            .parse()
-            .map_err(|_| format!("bad sanity bound in metric '{spec}'"))?;
-        if !(sanity > 0.0 && sanity.is_finite()) {
-            return Err("sanity bound must be positive and finite".to_string());
-        }
-        return Ok(ErrorMetric::relative(sanity));
-    }
-    Err(format!(
-        "unknown metric '{spec}' (expected 'abs' or 'rel:<sanity>')"
-    ))
-}
-
 /// The query engine of a build, dispatching on the synopsis family that
-/// produced it. Both variants answer the same point/range workload; the
-/// interval derivations downstream consume only `(estimate, guarantee)`
-/// pairs and never care which arm they came from.
+/// produced it. Both variants answer the same point/range workload;
+/// [`BuiltEngine::answer`] derives intervals from `(estimate, guarantee)`
+/// pairs alone and never cares which arm they came from.
 #[derive(Debug)]
 pub enum BuiltEngine {
     /// Wavelet coefficient-domain engine (`minmax` family).
@@ -110,7 +89,7 @@ impl BuiltEngine {
     #[must_use]
     pub fn retained(&self) -> Vec<usize> {
         match self {
-            BuiltEngine::Wavelet(e) => e.synopsis().indices().clone(),
+            BuiltEngine::Wavelet(e) => e.synopsis().indices(),
             BuiltEngine::Hist(e) => e.synopsis().buckets().iter().map(|b| b.start).collect(),
         }
     }
@@ -124,13 +103,78 @@ impl BuiltEngine {
         }
     }
 
-    /// The step engine, when this build is one.
-    #[must_use]
-    pub fn as_hist(&self) -> Option<&StepEngine> {
-        match self {
-            BuiltEngine::Wavelet(_) => None,
-            BuiltEngine::Hist(e) => Some(e),
-        }
+    /// Answers `kind` under a build-time guarantee `objective` for
+    /// `metric`, after `drift = Σ|δ|` of updates the synopsis has not
+    /// seen. The one derivation of every answer interval:
+    ///
+    /// * point, absolute metric: `est ± (objective + drift)`;
+    /// * point, relative metric: the relative hull at `objective`,
+    ///   widened by `drift` on each side;
+    /// * range sum, absolute metric: `est ± (objective + drift) · len`;
+    /// * range sum under a relative metric, and range averages: no
+    ///   interval (none is derivable from a per-value guarantee).
+    ///
+    /// Each is conservative under drift: the true value moved by at most
+    /// `drift` since the build.
+    ///
+    /// # Errors
+    /// An index or range outside the engine's domain.
+    pub fn answer(
+        &self,
+        kind: QueryKind,
+        metric: ErrorMetric,
+        objective: f64,
+        drift: f64,
+    ) -> Result<Answer, String> {
+        let n = match self {
+            BuiltEngine::Wavelet(e) => e.n(),
+            BuiltEngine::Hist(e) => e.n(),
+        };
+        let guarantee = objective + drift;
+        // `+ 0.0` normalizes a `-0.0` estimate.
+        let (est, interval) = match kind {
+            QueryKind::Point(i) => {
+                if i >= n {
+                    return Err(format!("index {i} out of range (N = {n})"));
+                }
+                let est = self.point(i) + 0.0;
+                let interval = match metric {
+                    ErrorMetric::Absolute => bounds::point_absolute(est, guarantee),
+                    ErrorMetric::Relative { sanity } => {
+                        let iv = bounds::point_relative(est, objective, sanity);
+                        bounds::Interval {
+                            lo: iv.lo - drift,
+                            hi: iv.hi + drift,
+                        }
+                    }
+                };
+                (est, Some(interval))
+            }
+            QueryKind::RangeSum(lo, hi) => {
+                if lo > hi || hi > n {
+                    return Err(format!("bad range [{lo}, {hi}) for N = {n}"));
+                }
+                let est = self.range_sum(lo..hi) + 0.0;
+                let interval = match metric {
+                    ErrorMetric::Absolute => {
+                        Some(bounds::range_sum_absolute(est, guarantee, hi - lo))
+                    }
+                    ErrorMetric::Relative { .. } => None,
+                };
+                (est, interval)
+            }
+            QueryKind::RangeAvg(lo, hi) => {
+                if lo >= hi || hi > n {
+                    return Err(format!("bad range [{lo}, {hi}) for N = {n}"));
+                }
+                (self.range_avg(lo..hi) + 0.0, None)
+            }
+        };
+        Ok(Answer {
+            est,
+            guarantee,
+            interval,
+        })
     }
 }
 
@@ -216,7 +260,8 @@ struct Solved {
 pub struct Answer {
     /// The synopsis estimate (`-0.0` normalized to `0.0`).
     pub est: f64,
-    /// The conservative guarantee in force ([`Built::guarantee`]).
+    /// The conservative guarantee in force: the build-time objective
+    /// plus the drift since ([`Built::guarantee`]).
     pub guarantee: f64,
     /// Guaranteed interval containing the true value, if derivable.
     pub interval: Option<bounds::Interval>,
@@ -300,8 +345,8 @@ impl Column {
 
     /// Applies every pending update to the data, consulting the
     /// [`RebuildPolicy`] after each one (a rebuild can trigger mid-batch,
-    /// resetting drift, exactly as a stream of
-    /// `AdaptiveMaxErrSynopsis::update` calls would).
+    /// resetting drift, exactly as draining after every single update
+    /// would).
     ///
     /// A refused rebuild does not stop the drain: every pending update
     /// (each already acknowledged by [`Column::enqueue`]) is still
@@ -455,7 +500,7 @@ impl Column {
         family: Option<&str>,
         obs: &Collector,
     ) -> Result<&Built, String> {
-        let metric = parse_metric(metric_spec)?;
+        let metric = ErrorMetric::parse(metric_spec).map_err(|e| e.to_string())?;
         let choice = resolve_family(family)?;
         self.drain(obs)?;
         let span = obs.span("build");
@@ -477,18 +522,8 @@ impl Column {
     }
 
     /// Drains pending updates, then answers `kind` from the built
-    /// synopsis with a per-answer error interval.
-    ///
-    /// Interval derivations (all conservative under drift — the true
-    /// value moved by at most the accumulated `Σ|δ|` since the build,
-    /// so every zero-drift interval widens by that drift):
-    ///
-    /// * point, absolute metric: `est ± guarantee()`;
-    /// * point, relative metric: the relative hull at the built
-    ///   objective, widened by the drift;
-    /// * range sum, absolute metric: `est ± guarantee() · len`;
-    /// * range sum under a relative metric, and range averages: no
-    ///   interval (none is derivable from a per-value guarantee).
+    /// synopsis through [`BuiltEngine::answer`], under the drift
+    /// accumulated since the build.
     ///
     /// # Errors
     /// No build yet, an out-of-range query, or a rebuild failure from
@@ -496,62 +531,12 @@ impl Column {
     pub fn query(&mut self, kind: QueryKind, obs: &Collector) -> Result<Answer, String> {
         self.drain(obs)?;
         let span = obs.span("query");
-        let n = self.data.len();
         let Some(built) = self.built.as_ref() else {
             return Err("column has no synopsis yet (build first)".to_string());
         };
-        let drift = built.drift_abs;
-        let widen = |iv: bounds::Interval| bounds::Interval {
-            lo: iv.lo - drift,
-            hi: iv.hi + drift,
-        };
-        let answer = match kind {
-            QueryKind::Point(i) => {
-                if i >= n {
-                    return Err(format!("index {i} out of range (N = {n})"));
-                }
-                let est = built.engine.point(i) + 0.0; // normalizes -0
-                let interval = match built.metric {
-                    ErrorMetric::Absolute => Some(bounds::point_absolute(est, built.guarantee())),
-                    ErrorMetric::Relative { sanity } => {
-                        Some(widen(bounds::point_relative(est, built.objective, sanity)))
-                    }
-                };
-                Answer {
-                    est,
-                    guarantee: built.guarantee(),
-                    interval,
-                }
-            }
-            QueryKind::RangeSum(lo, hi) => {
-                if lo > hi || hi > n {
-                    return Err(format!("bad range [{lo}, {hi}) for N = {n}"));
-                }
-                let est = built.engine.range_sum(lo..hi) + 0.0;
-                let interval = match built.metric {
-                    ErrorMetric::Absolute => {
-                        Some(bounds::range_sum_absolute(est, built.guarantee(), hi - lo))
-                    }
-                    ErrorMetric::Relative { .. } => None,
-                };
-                Answer {
-                    est,
-                    guarantee: built.guarantee(),
-                    interval,
-                }
-            }
-            QueryKind::RangeAvg(lo, hi) => {
-                if lo >= hi || hi > n {
-                    return Err(format!("bad range [{lo}, {hi}) for N = {n}"));
-                }
-                let est = built.engine.range_avg(lo..hi) + 0.0;
-                Answer {
-                    est,
-                    guarantee: built.guarantee(),
-                    interval: None,
-                }
-            }
-        };
+        let answer = built
+            .engine
+            .answer(kind, built.metric, built.objective, built.drift_abs)?;
         obs.add("answered", 1);
         drop(span);
         Ok(answer)
@@ -571,8 +556,9 @@ pub struct StreamBuilt {
     pub peak_cells: usize,
     /// Peak resident sketch bytes during the pass.
     pub peak_bytes: usize,
-    /// Query engine over the finalized synopsis.
-    pub engine: QueryEngine1d,
+    /// Query engine over the finalized synopsis (always the wavelet
+    /// arm).
+    pub engine: BuiltEngine,
 }
 
 /// A column in *streaming ingest mode*: `append` frames feed a one-pass
@@ -714,7 +700,7 @@ impl StreamColumn {
                         dp_objective: run.dp_objective,
                         peak_cells: run.peak_cells,
                         peak_bytes: run.peak_bytes,
-                        engine: QueryEngine1d::new(run.synopsis),
+                        engine: BuiltEngine::Wavelet(QueryEngine1d::new(run.synopsis)),
                     });
                 }
                 Err(e) => {
@@ -729,10 +715,10 @@ impl StreamColumn {
         Ok(received)
     }
 
-    /// Answers `kind` from the finalized synopsis. Intervals follow the
-    /// absolute-metric derivations of [`Column::query`], with the
-    /// streaming guarantee in place of the DP objective (no drift — a
-    /// finalized stream never mutates).
+    /// Answers `kind` from the finalized synopsis through
+    /// [`BuiltEngine::answer`]: absolute metric, the streaming guarantee
+    /// in place of the DP objective, and no drift (a finalized stream
+    /// never mutates).
     ///
     /// # Errors
     /// An incomplete or poisoned stream, or an out-of-range query.
@@ -748,42 +734,9 @@ impl StreamColumn {
             ));
         };
         let span = obs.span("query");
-        let n = self.n;
-        let answer = match kind {
-            QueryKind::Point(i) => {
-                if i >= n {
-                    return Err(format!("index {i} out of range (N = {n})"));
-                }
-                let est = built.engine.point(i) + 0.0; // normalizes -0
-                Answer {
-                    est,
-                    guarantee: built.objective,
-                    interval: Some(bounds::point_absolute(est, built.objective)),
-                }
-            }
-            QueryKind::RangeSum(lo, hi) => {
-                if lo > hi || hi > n {
-                    return Err(format!("bad range [{lo}, {hi}) for N = {n}"));
-                }
-                let est = built.engine.range_sum(lo..hi) + 0.0;
-                Answer {
-                    est,
-                    guarantee: built.objective,
-                    interval: Some(bounds::range_sum_absolute(est, built.objective, hi - lo)),
-                }
-            }
-            QueryKind::RangeAvg(lo, hi) => {
-                if lo >= hi || hi > n {
-                    return Err(format!("bad range [{lo}, {hi}) for N = {n}"));
-                }
-                let est = built.engine.range_avg(lo..hi) + 0.0;
-                Answer {
-                    est,
-                    guarantee: built.objective,
-                    interval: None,
-                }
-            }
-        };
+        let answer = built
+            .engine
+            .answer(kind, ErrorMetric::Absolute, built.objective, 0.0)?;
         obs.add("answered", 1);
         drop(span);
         Ok(answer)
@@ -811,24 +764,12 @@ mod tests {
     }
 
     #[test]
-    fn metric_specs_parse() {
-        assert_eq!(parse_metric("abs").unwrap(), ErrorMetric::absolute());
-        assert_eq!(
-            parse_metric("rel:2.5").unwrap(),
-            ErrorMetric::Relative { sanity: 2.5 }
-        );
-        assert!(parse_metric("rel:0").is_err());
-        assert!(parse_metric("rel:inf").is_err());
-        assert!(parse_metric("l2").is_err());
-    }
-
-    #[test]
     fn build_matches_library_cold_run() {
         let data = data();
         let mut col = Column::new(&data, 2.0).unwrap();
         let reference = MinMaxErr::new(&data).unwrap();
         for metric_spec in ["abs", "rel:1.0"] {
-            let metric = parse_metric(metric_spec).unwrap();
+            let metric = ErrorMetric::parse(metric_spec).unwrap();
             for b in [0usize, 3, 8, 16] {
                 let built = col.build(b, metric_spec, None, &Collector::noop()).unwrap();
                 let lib = reference.run(b, metric);
@@ -865,46 +806,101 @@ mod tests {
         assert!(a.interval.is_none());
     }
 
-    #[test]
-    fn batched_updates_match_streaming_policy() {
-        // Batching must not change what the shared rebuild policy sees:
-        // a drained column and a stream of AdaptiveMaxErrSynopsis updates
-        // reach the same rebuild count, final synopsis, and guarantee.
-        let data = data();
-        let (b, tolerance) = (5usize, 2.0f64);
-        let metric = ErrorMetric::absolute();
-        let mut stream =
-            wsyn_stream::AdaptiveMaxErrSynopsis::new(&data, b, metric, tolerance).unwrap();
-        let mut col = Column::new(&data, tolerance).unwrap();
-        col.build(b, "abs", None, &Collector::noop()).unwrap();
-
-        let updates: Vec<(usize, f64)> = (0..40)
+    /// The update stream the drift tests share: deltas in `-2..=4`.
+    fn updates(n: usize) -> Vec<(usize, f64)> {
+        (0..40)
             .map(|k| {
                 (
-                    (k * 13 + 3) % data.len(),
+                    (k * 13 + 3) % n,
                     f64::from(u8::try_from(k % 7).unwrap()) - 2.0,
                 )
             })
-            .collect();
-        for chunk in updates.chunks(7) {
-            col.enqueue(chunk).unwrap();
-        }
-        for &(i, d) in &updates {
-            stream.update(i, d).unwrap();
-        }
-        col.drain(&Collector::noop()).unwrap();
+            .collect()
+    }
 
-        assert_eq!(col.rebuilds(), stream.rebuilds());
-        let built = col.built().unwrap();
-        assert_eq!(
-            built.objective.to_bits(),
-            stream.built_objective().to_bits()
+    #[test]
+    fn batched_updates_match_one_drain_per_update() {
+        // Batching must not change what the rebuild policy sees: one
+        // drain over the whole batch and a drain after every update
+        // reach the same rebuild count, final synopsis, and guarantee.
+        let data = data();
+        let obs = Collector::noop();
+        let mut batched = Column::new(&data, 2.0).unwrap();
+        let mut single = Column::new(&data, 2.0).unwrap();
+        batched.build(5, "abs", None, &obs).unwrap();
+        single.build(5, "abs", None, &obs).unwrap();
+        let updates = updates(data.len());
+        for chunk in updates.chunks(7) {
+            batched.enqueue(chunk).unwrap();
+        }
+        for update in &updates {
+            single.enqueue(std::slice::from_ref(update)).unwrap();
+            single.drain(&obs).unwrap();
+        }
+        batched.drain(&obs).unwrap();
+
+        assert!(
+            batched.rebuilds() > 0,
+            "tolerance 2 should trigger rebuilds"
         );
-        assert_eq!(built.guarantee().to_bits(), stream.guarantee().to_bits());
-        assert_eq!(
-            built.engine.as_wavelet().unwrap().synopsis().indices(),
-            stream.synopsis().indices()
-        );
+        assert_eq!(batched.rebuilds(), single.rebuilds());
+        let (a, b) = (batched.built().unwrap(), single.built().unwrap());
+        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+        assert_eq!(a.guarantee().to_bits(), b.guarantee().to_bits());
+        assert_eq!(a.engine.retained(), b.engine.retained());
+    }
+
+    #[test]
+    fn guarantee_stays_conservative_without_rebuilds() {
+        // With an enormous tolerance no rebuild happens; the widened
+        // guarantee must still bound the true error after every update,
+        // and every interval must still contain the truth.
+        let mut data: Vec<f64> = (0..64).map(|i| f64::from((i * 11 + 5) % 23)).collect();
+        let obs = Collector::noop();
+        for spec in ["abs", "rel:1"] {
+            let metric = ErrorMetric::parse(spec).unwrap();
+            let mut col = Column::new(&data, 1e18).unwrap();
+            col.build(8, spec, None, &obs).unwrap();
+            for (k, (i, delta)) in updates(64).into_iter().enumerate() {
+                col.enqueue(&[(i, delta)]).unwrap();
+                data[i] += delta;
+                let a = col.query(QueryKind::Point(i), &obs).unwrap();
+                assert!(a.interval.unwrap().contains(data[i]), "{spec} k={k}");
+                if metric == ErrorMetric::Absolute {
+                    let built = col.built().unwrap();
+                    let recon = built.engine.as_wavelet().unwrap().synopsis().reconstruct();
+                    let true_err = metric.max_error(&data, &recon);
+                    assert!(true_err <= a.guarantee, "{true_err} > {}", a.guarantee);
+                }
+            }
+            assert_eq!(col.rebuilds(), 0, "{spec}");
+            assert!(col.built().unwrap().drift_abs > 0.0);
+        }
+    }
+
+    #[test]
+    fn drift_rebuilds_restore_the_fresh_optimum() {
+        let mut data: Vec<f64> = (0..32).map(|i| f64::from(i % 7) + 1.0).collect();
+        let obs = Collector::noop();
+        let mut col = Column::new(&data, 1.5).unwrap();
+        col.build(6, "abs", None, &obs).unwrap();
+        for (i, delta) in updates(32).into_iter().chain(updates(32)) {
+            let before = col.rebuilds();
+            col.enqueue(&[(i, delta)]).unwrap();
+            col.drain(&obs).unwrap();
+            data[i] += delta;
+            if col.rebuilds() > before {
+                // Right after a rebuild the objective is the optimum for
+                // the current data, and no drift is left.
+                let fresh = MinMaxErr::new(&data)
+                    .unwrap()
+                    .run(6, ErrorMetric::absolute());
+                let built = col.built().unwrap();
+                assert_eq!(built.objective.to_bits(), fresh.objective.to_bits());
+                assert_eq!(built.guarantee().to_bits(), built.objective.to_bits());
+            }
+        }
+        assert!(col.rebuilds() > 0, "tolerance 1.5 should trigger rebuilds");
     }
 
     #[test]
@@ -1155,6 +1151,33 @@ mod tests {
     }
 
     #[test]
+    fn invalid_updates_leave_no_side_effect() {
+        let obs = Collector::noop();
+        let mut col = Column::new(&[2.0, 2.0, 0.0, 2.0, 3.0, 5.0, 4.0, 4.0], 2.0).unwrap();
+        col.build(3, "abs", None, &obs).unwrap();
+        col.enqueue(&[(1, 0.5)]).unwrap();
+        col.drain(&obs).unwrap();
+        let (data, guarantee) = (col.data.clone(), col.built().unwrap().guarantee());
+        let refused = [
+            (8usize, 1.0f64, "update index 8 out of range (N = 8)"),
+            (usize::MAX, 1.0, "out of range"),
+            (2, f64::NAN, "update delta at index 2 is not finite"),
+            (2, f64::INFINITY, "not finite"),
+            (2, f64::NEG_INFINITY, "not finite"),
+        ];
+        for (i, delta, msg) in refused {
+            let err = col.enqueue(&[(i, delta)]).unwrap_err();
+            assert!(err.contains(msg), "{err}");
+            col.drain(&obs).unwrap();
+            assert_eq!(col.pending(), 0);
+            assert_eq!(col.data, data);
+            let built = col.built().unwrap();
+            assert_eq!(built.guarantee().to_bits(), guarantee.to_bits());
+        }
+        assert_eq!(col.rebuilds(), 0);
+    }
+
+    #[test]
     fn query_before_build_is_an_error() {
         let mut col = Column::new(&data(), 2.0).unwrap();
         let err = col
@@ -1201,7 +1224,7 @@ mod tests {
 
         let built = col.built().unwrap();
         assert_eq!(built.objective.to_bits(), run.objective.to_bits());
-        assert_eq!(built.engine.synopsis().indices(), run.synopsis.indices());
+        assert_eq!(built.engine.retained(), run.synopsis.indices());
 
         for (i, &truth) in data.iter().enumerate() {
             let a = col.query(QueryKind::Point(i), &obs).unwrap();

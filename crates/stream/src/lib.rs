@@ -4,25 +4,28 @@
 //! Vitter & Wang's *dynamic maintenance of wavelet-based histograms*
 //! (point updates to the underlying frequency vector) and Gilbert et al.'s
 //! one-pass stream summaries. This crate provides the update substrate and
-//! the policies that keep a **deterministic maximum-error synopsis** fresh
-//! as data drifts:
+//! the rules that keep a **deterministic maximum-error synopsis** fresh as
+//! data drifts:
 //!
 //! * [`DynamicErrorTree`] — exact maintenance of the full unnormalized
 //!   Haar coefficient array under point updates `d_i += δ`, at
 //!   `O(log N)` coefficient touches per update (every update affects only
 //!   the `log N + 1` ancestors of the cell).
-//! * [`AdaptiveMaxErrSynopsis`] — a rebuild policy for the optimal
-//!   `MinMaxErr` synopsis: the current synopsis's guarantee is tracked
-//!   under updates via a conservative drift bound, and the expensive DP is
-//!   re-run only when the bound degrades past a tolerance factor; between
-//!   rebuilds every answer still carries a valid (if looser) guarantee.
-//!
+//! * [`check_update`] and [`RebuildPolicy`] — the validation rule for a
+//!   point update, and the drift rule deciding when a built synopsis must
+//!   be re-solved: its guarantee is tracked under updates via a
+//!   conservative drift bound, and the expensive DP is re-run only when
+//!   the bound degrades past a tolerance factor; between rebuilds every
+//!   answer still carries a valid (if looser) guarantee. The dynamic
+//!   synopsis that applies them is the server's column
+//!   (`wsyn_serve::Column`).
 //! * [`StreamingMaxErr`] — one-pass streaming B-term construction with
 //!   poly(`B`, `log N`, `1/ε`) working space and a certified absolute
 //!   max-error guarantee (Guha & Harb's quantized-error DP; see
 //!   [`streaming`] for the algorithm, drift accounting, and proof
-//!   sketch), plus [`StreamMaxErr`], its offline [`Thresholder`]
-//!   adapter behind `wsyn build --algo stream`.
+//!   sketch), plus [`StreamMaxErr`], its offline
+//!   [`Thresholder`](wsyn_synopsis::Thresholder) adapter behind
+//!   `wsyn build --algo stream`.
 //!
 //! The O(N)-space coefficient maintenance is exact; MVW's
 //! probabilistic-counting trick for sublinear space is out of scope
@@ -33,9 +36,7 @@
 
 use wsyn_core::WsynError;
 use wsyn_haar::{is_pow2, log2_exact, transform, ErrorTree1d, HaarError};
-use wsyn_obs::Collector;
-use wsyn_synopsis::one_dim::MinMaxErr;
-use wsyn_synopsis::{ErrorMetric, RunParams, SolverScratch, Synopsis1d, Thresholder};
+use wsyn_synopsis::ErrorMetric;
 
 pub mod streaming;
 
@@ -57,8 +58,7 @@ pub fn families() -> Vec<wsyn_synopsis::SynopsisFamily> {
 
 /// Checks that `d_i += delta` is a valid point update of an `n`-cell
 /// vector: `i < n` and a finite `delta`. The one validation rule every
-/// update path applies before changing data (the server's ingest queue
-/// and [`AdaptiveMaxErrSynopsis::update`]).
+/// update path applies before changing data (the server's ingest queue).
 ///
 /// # Errors
 /// [`WsynError::Invalid`] naming the out-of-range index or the
@@ -214,8 +214,8 @@ impl DynamicErrorTree {
 /// synopsis did not), so after a stream of updates the **absolute** error
 /// guarantee is `built_objective + Σ|δ|` (per-cell sums would be tighter;
 /// the global sum keeps the bookkeeping O(1)). This is the one copy of
-/// the rule: [`AdaptiveMaxErrSynopsis`] and the server's batched-update
-/// columns both call [`RebuildPolicy::degraded`].
+/// the rule: the server's batched-update columns call
+/// [`RebuildPolicy::degraded`] after every applied update.
 #[derive(Debug, Clone, Copy)]
 pub struct RebuildPolicy {
     tolerance: f64,
@@ -264,142 +264,6 @@ impl RebuildPolicy {
                     || drift_abs > (self.tolerance - 1.0) * sanity.max(built_objective)
             }
         }
-    }
-}
-
-/// Rebuild policy for the deterministic maximum-error synopsis under
-/// updates: the guarantee is tracked as `built_objective + Σ|δ|`, and
-/// once [`RebuildPolicy::degraded`] says so the `MinMaxErr` DP is re-run
-/// on the maintained data.
-#[derive(Debug)]
-pub struct AdaptiveMaxErrSynopsis {
-    tree: DynamicErrorTree,
-    b: usize,
-    metric: ErrorMetric,
-    policy: RebuildPolicy,
-    built_objective: f64,
-    drift_abs: f64,
-    rebuilds: u64,
-    current: Synopsis1d,
-    /// Reusable solver storage threaded through every (re)build via
-    /// [`Thresholder::threshold_with_reusing`]. Each run clears the 1-D
-    /// DP memo inside, so only its allocation carries over, skipping the
-    /// memo growth ramp each time.
-    scratch: SolverScratch,
-    /// Observability collector every (re)build records into; the no-op
-    /// collector (zero cost) unless [`Self::set_obs`] installs one.
-    obs: Collector,
-}
-
-impl AdaptiveMaxErrSynopsis {
-    /// Builds the synopsis and its rebuild policy.
-    ///
-    /// `tolerance >= 1` is the [`RebuildPolicy`] factor (e.g. `2.0` =
-    /// rebuild when the guarantee may have doubled).
-    ///
-    /// # Errors
-    /// Describes the failure: an invalid domain
-    /// ([`WsynError::Transform`]), a tolerance below 1 or NaN
-    /// ([`WsynError::Invalid`]), or the `MinMaxErr` DP's refusal.
-    pub fn new(
-        data: &[f64],
-        b: usize,
-        metric: ErrorMetric,
-        tolerance: f64,
-    ) -> Result<Self, WsynError> {
-        let tree = DynamicErrorTree::new(data)?;
-        let policy = RebuildPolicy::new(tolerance)?;
-        let mut scratch = SolverScratch::new();
-        let run = MinMaxErr::new(tree.data())?
-            .threshold_with_reusing(&RunParams::new(b, metric), &mut scratch)?;
-        let current = run.synopsis.into_one("the rebuild policy")?;
-        Ok(Self {
-            tree,
-            b,
-            metric,
-            policy,
-            built_objective: run.objective,
-            drift_abs: 0.0,
-            rebuilds: 0,
-            current,
-            scratch,
-            obs: Collector::noop(),
-        })
-    }
-
-    /// Installs an observability collector: every subsequent rebuild
-    /// records a `rebuild` span (with the triggering drift and the
-    /// rebuilt objective's DP counters) into it.
-    pub fn set_obs(&mut self, obs: Collector) {
-        self.obs = obs;
-    }
-
-    /// Applies an update, rebuilding if the guarantee degraded past the
-    /// tolerance. Returns `true` when a rebuild happened.
-    ///
-    /// # Errors
-    /// An invalid update ([`check_update`]; nothing is applied), or the
-    /// DP's refusal from a triggered rebuild.
-    pub fn update(&mut self, i: usize, delta: f64) -> Result<bool, WsynError> {
-        check_update(self.tree.n(), i, delta)?;
-        self.tree.update(i, delta);
-        self.drift_abs += delta.abs();
-        if self
-            .policy
-            .degraded(self.metric, self.built_objective, self.drift_abs)
-        {
-            self.rebuild()?;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
-    }
-
-    /// The current conservative **absolute-error** guarantee:
-    /// `built_objective + accumulated |δ|`. For relative metrics this is
-    /// the guarantee in absolute terms at build time plus drift (see
-    /// struct docs).
-    pub fn guarantee(&self) -> f64 {
-        self.built_objective + self.drift_abs
-    }
-
-    /// Forces a rebuild of the synopsis from the current data with the
-    /// `MinMaxErr` DP.
-    ///
-    /// # Errors
-    /// Propagates the DP's refusal (it cannot certify the result for
-    /// data near `f64::MAX`, for instance).
-    pub fn rebuild(&mut self) -> Result<(), WsynError> {
-        let _span = self.obs.span("rebuild");
-        self.obs.add("rebuilds", 1);
-        let params = RunParams::new(self.b, self.metric).obs(self.obs.clone());
-        let run =
-            MinMaxErr::new(self.tree.data())?.threshold_with_reusing(&params, &mut self.scratch)?;
-        self.built_objective = run.objective;
-        self.current = run.synopsis.into_one("the rebuild policy")?;
-        self.drift_abs = 0.0;
-        self.rebuilds += 1;
-        Ok(())
-    }
-
-    /// The current synopsis.
-    pub fn synopsis(&self) -> &Synopsis1d {
-        &self.current
-    }
-
-    /// Objective as of the last (re)build.
-    pub fn built_objective(&self) -> f64 {
-        self.built_objective
-    }
-
-    /// Number of rebuilds triggered so far.
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuilds
-    }
-
-    /// The underlying dynamic tree.
-    pub fn tree(&self) -> &DynamicErrorTree {
-        &self.tree
     }
 }
 
@@ -454,53 +318,6 @@ mod tests {
         t.update(0, 3.0);
         assert_eq!(t.coeffs(), &[8.0]);
         assert_eq!(t.data(), &[8.0]);
-    }
-
-    #[test]
-    fn adaptive_guarantee_is_conservative() {
-        let data: Vec<f64> = (0..64).map(|i| f64::from((i * 11 + 5) % 23)).collect();
-        let mut a = AdaptiveMaxErrSynopsis::new(&data, 8, ErrorMetric::absolute(), 1e18).unwrap();
-        // With an enormous tolerance no rebuild happens; the conservative
-        // guarantee must still upper-bound the true error after updates.
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..200 {
-            let i = rng.gen_range(0..64);
-            let delta = f64::from(rng.gen_range(-3i32..=3));
-            let rebuilt = a.update(i, delta).unwrap();
-            assert!(!rebuilt);
-            let true_err = a
-                .synopsis()
-                .max_error(a.tree().data(), ErrorMetric::absolute());
-            assert!(
-                true_err <= a.guarantee() + 1e-9,
-                "true {true_err} vs guarantee {}",
-                a.guarantee()
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_rebuilds_restore_optimality() {
-        let data: Vec<f64> = (0..32).map(|i| f64::from(i % 7) + 1.0).collect();
-        let mut a = AdaptiveMaxErrSynopsis::new(&data, 6, ErrorMetric::absolute(), 1.5).unwrap();
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut rebuild_seen = false;
-        for _ in 0..300 {
-            let i = rng.gen_range(0..32);
-            let delta = f64::from(rng.gen_range(-4i32..=4));
-            if a.update(i, delta).unwrap() {
-                rebuild_seen = true;
-                // Immediately after a rebuild, the objective is optimal for
-                // the current data.
-                let fresh = MinMaxErr::new(a.tree().data())
-                    .unwrap()
-                    .run(6, ErrorMetric::absolute());
-                assert!((a.built_objective() - fresh.objective).abs() < 1e-9);
-                assert_eq!(a.guarantee(), a.built_objective());
-            }
-        }
-        assert!(rebuild_seen, "tolerance 1.5 should trigger rebuilds");
-        assert!(a.rebuilds() > 0);
     }
 
     /// The next representable `f64` above a positive finite `x`.
@@ -572,7 +389,6 @@ mod tests {
 
     #[test]
     fn bad_tolerance_is_an_error_not_a_panic() {
-        let data = [2.0, 2.0, 0.0, 2.0, 3.0, 5.0, 4.0, 4.0];
         for tolerance in [0.5, f64::NAN] {
             let err = RebuildPolicy::new(tolerance).unwrap_err();
             assert!(matches!(err, WsynError::Invalid(_)), "{err:?}");
@@ -580,33 +396,7 @@ mod tests {
                 err.to_string(),
                 format!("tolerance must be >= 1, got {tolerance}")
             );
-            let err = AdaptiveMaxErrSynopsis::new(&data, 3, ErrorMetric::absolute(), tolerance)
-                .unwrap_err();
-            assert!(matches!(err, WsynError::Invalid(_)), "{err:?}");
         }
-    }
-
-    #[test]
-    fn invalid_updates_are_refused_without_side_effects() {
-        let data = [2.0, 2.0, 0.0, 2.0, 3.0, 5.0, 4.0, 4.0];
-        let mut a = AdaptiveMaxErrSynopsis::new(&data, 3, ErrorMetric::absolute(), 2.0).unwrap();
-        a.update(1, 0.5).unwrap();
-        let (updates, guarantee) = (a.tree().updates(), a.guarantee());
-        let refused = [
-            (8usize, 1.0f64, "update index 8 out of range (N = 8)"),
-            (usize::MAX, 1.0, "out of range"),
-            (2, f64::NAN, "update delta at index 2 is not finite"),
-            (2, f64::INFINITY, "not finite"),
-            (2, f64::NEG_INFINITY, "not finite"),
-        ];
-        for (i, delta, msg) in refused {
-            let err = a.update(i, delta).unwrap_err();
-            assert!(matches!(err, WsynError::Invalid(_)), "{err:?}");
-            assert!(err.to_string().contains(msg), "{err}");
-            assert_eq!(a.tree().updates(), updates);
-            assert_eq!(a.guarantee().to_bits(), guarantee.to_bits());
-        }
-        assert_eq!(a.rebuilds(), 0);
     }
 
     #[test]

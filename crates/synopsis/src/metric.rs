@@ -9,6 +9,8 @@
 //!
 //! The thresholding objective is `max_i err_i` over the whole domain.
 
+use wsyn_core::WsynError;
+
 /// Target maximum-error metric for synopsis construction.
 ///
 /// Deliberately **not** `#[non_exhaustive]`: solvers, the AQP bound
@@ -45,6 +47,32 @@ impl ErrorMetric {
     /// Absolute error.
     pub const fn absolute() -> Self {
         ErrorMetric::Absolute
+    }
+
+    /// Parses a metric spec: `abs`, or `rel:<s>` with a finite `s > 0`.
+    /// The one grammar behind the CLI's `--metric`, the server's build
+    /// requests and the conformance corpus.
+    ///
+    /// # Errors
+    /// [`WsynError::Invalid`] naming the malformed spec.
+    pub fn parse(spec: &str) -> Result<Self, WsynError> {
+        if spec == "abs" {
+            return Ok(ErrorMetric::Absolute);
+        }
+        let Some(s) = spec.strip_prefix("rel:") else {
+            return Err(WsynError::invalid(format!(
+                "unknown metric '{spec}' (expected 'abs' or 'rel:<sanity>')"
+            )));
+        };
+        let sanity: f64 = s
+            .parse()
+            .map_err(|_| WsynError::invalid(format!("bad sanity bound in metric '{spec}'")))?;
+        if !(sanity > 0.0 && sanity.is_finite()) {
+            return Err(WsynError::invalid(format!(
+                "sanity bound in metric '{spec}' must be positive and finite"
+            )));
+        }
+        Ok(ErrorMetric::Relative { sanity })
     }
 
     /// Per-value denominator `r`: `max{|d|, s}` for relative error, `1`
@@ -153,6 +181,22 @@ mod tests {
     #[should_panic(expected = "sanity bound")]
     fn zero_sanity_rejected() {
         let _ = ErrorMetric::relative(0.0);
+    }
+
+    #[test]
+    fn specs_parse() {
+        assert_eq!(ErrorMetric::parse("abs").unwrap(), ErrorMetric::absolute());
+        assert_eq!(
+            ErrorMetric::parse("rel:2.5").unwrap(),
+            ErrorMetric::Relative { sanity: 2.5 }
+        );
+        for spec in [
+            "rel:0", "rel:-1", "rel:inf", "rel:nan", "rel:", "rel:x", "l2", "ABS",
+        ] {
+            let err = ErrorMetric::parse(spec).unwrap_err();
+            assert!(matches!(err, WsynError::Invalid(_)), "{spec}: {err:?}");
+            assert!(err.to_string().contains(&format!("'{spec}'")), "{err}");
+        }
     }
 
     #[test]

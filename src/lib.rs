@@ -24,8 +24,12 @@
 //! * [`aqp`] — an approximate-query-processing engine answering point and
 //!   range-aggregate queries directly from synopses.
 //! * [`stream`] — dynamic maintenance: exact `O(log N)` coefficient
-//!   updates, a guarantee-preserving rebuild policy over the optimal DP,
+//!   updates, the guarantee-preserving rebuild rule over the optimal DP,
 //!   and one-pass streaming construction.
+//! * [`serve`] — the synopsis server; its [`serve::Column`] is the
+//!   dynamic synopsis that applies point updates under that rule.
+//! * [`obs`] — deterministic observability: the `Collector` every
+//!   solve and column operation records into.
 //! * [`datagen`] — seeded synthetic workload generators.
 //!
 //! ## Quickstart
@@ -55,6 +59,8 @@ pub use wsyn_aqp as aqp;
 pub use wsyn_datagen as datagen;
 pub use wsyn_haar as haar;
 pub use wsyn_hist as hist;
+pub use wsyn_obs as obs;
 pub use wsyn_prob as prob;
+pub use wsyn_serve as serve;
 pub use wsyn_stream as stream;
 pub use wsyn_synopsis as synopsis;

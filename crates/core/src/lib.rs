@@ -228,8 +228,8 @@ pub fn hash_state(key: u128) -> u64 {
 }
 
 /// An open-addressing (linear-probe) memo table keyed on a packed `u128`
-/// DP state. Insert-only *between clears* — the DPs never remove
-/// individual entries, but a workspace-owned table may be [`Self::clear`]ed
+/// DP state. Insert-only *between resets* — the DPs never remove
+/// individual entries, but a retained table may be [`Self::reset`]
 /// wholesale and refilled for the next run while keeping its allocation.
 ///
 /// Keys and values live in parallel arrays so the probe walk streams a
@@ -243,7 +243,13 @@ pub fn hash_state(key: u128) -> u64 {
 /// per-lookup counter costs ~10% on memo-bound DPs); [`Self::probes`]
 /// instead reports the total probe displacement of the resident entries,
 /// a running sum that insert-only linear probing keeps exact: an entry's
-/// slot never moves until the next growth or clear.
+/// slot never moves until the next growth or reset.
+///
+/// The slot count only depends on the reset that started the run and
+/// the inserts since, never on the allocation behind it: growth rehashes
+/// inside the table's own allocation (see [`Self::reset`]), so a table
+/// that once grew to `T` slots holds at most `1.25 · T` slots of memory
+/// and refills to any size up to `T` without allocating.
 pub struct StateTable<V> {
     keys: Vec<u128>,
     vals: Vec<Option<V>>,
@@ -262,7 +268,9 @@ impl<V> Default for StateTable<V> {
 }
 
 impl<V> StateTable<V> {
-    const MIN_CAPACITY: usize = 16;
+    /// The fewest slots a table has: a fresh table's count, and the
+    /// smallest [`Self::reset`] accepts.
+    pub const MIN_SLOTS: usize = 16;
 
     /// An empty table.
     #[must_use]
@@ -273,7 +281,7 @@ impl<V> StateTable<V> {
     /// An empty table pre-sized for about `n` entries.
     #[must_use]
     pub fn with_capacity(n: usize) -> Self {
-        let cap = (n * 10 / 7 + 1).next_power_of_two().max(Self::MIN_CAPACITY);
+        let cap = (n * 10 / 7 + 1).next_power_of_two().max(Self::MIN_SLOTS);
         StateTable {
             keys: vec![EMPTY_KEY; cap],
             vals: (0..cap).map(|_| None).collect(),
@@ -299,7 +307,7 @@ impl<V> StateTable<V> {
     /// lives. `0` means every entry sits at its home slot — every lookup
     /// lands directly. A running sum: `insert` adds each new entry's
     /// displacement, `grow` recomputes it for the rehashed layout and
-    /// `clear` resets it, so reading it costs no table scan and the
+    /// `reset` zeroes it, so reading it costs no table scan and the
     /// lookup path carries no counter.
     #[must_use]
     pub fn probes(&self) -> usize {
@@ -316,6 +324,16 @@ impl<V> StateTable<V> {
             .filter(|(_, &k)| k != EMPTY_KEY)
             .map(|(i, &k)| self.displacement_at(i, k))
             .sum()
+    }
+
+    /// Where the slot arrays live and how many slots they can hold: a
+    /// table that did not reallocate reports the same value.
+    #[cfg(test)]
+    fn allocation(&self) -> [(usize, usize); 2] {
+        [
+            (self.keys.as_ptr().addr(), self.keys.capacity()),
+            (self.vals.as_ptr().addr(), self.vals.capacity()),
+        ]
     }
 
     /// Slots between `key`'s hashed home slot and slot `i`.
@@ -381,42 +399,75 @@ impl<V> StateTable<V> {
         }
     }
 
+    /// Rehashes into 4× the slots inside the table's own allocation: the
+    /// old slots move to a tail past the new slot count, the emptied head
+    /// takes them back in slot order, and the tail is cut off. The result
+    /// is the layout a rehash into a fresh table gives; the allocation
+    /// grows only when it holds fewer than `5 ×` the old slot count.
     fn grow(&mut self) {
         // Grow 4× per rehash: DP memos routinely reach millions of
         // states, and halving the number of full-table reinsert passes
         // matters more than the transiently lower load factor.
-        let new_cap = (self.keys.len() * 4).max(Self::MIN_CAPACITY);
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY_KEY; new_cap]);
-        let old_vals = std::mem::replace(&mut self.vals, (0..new_cap).map(|_| None).collect());
+        let old_cap = self.keys.len();
+        let new_cap = old_cap * 4;
+        self.keys.reserve_exact(new_cap);
+        self.vals.reserve_exact(new_cap);
+        self.keys.resize(new_cap + old_cap, EMPTY_KEY);
+        self.vals.resize_with(new_cap + old_cap, || None);
+        let (head, tail) = self.keys.split_at_mut(new_cap);
+        head[..old_cap].swap_with_slice(tail);
+        let (head, tail) = self.vals.split_at_mut(new_cap);
+        head[..old_cap].swap_with_slice(tail);
         let mask = new_cap - 1;
         self.displacement = 0;
-        for (key, val) in old_keys.into_iter().zip(old_vals) {
+        for old in new_cap..new_cap + old_cap {
+            let key = self.keys[old];
             if key == EMPTY_KEY {
                 continue;
             }
-            let mut i = (hash_state(key) as usize) & mask;
+            let home = hash_state(key) as usize;
+            let mut i = home & mask;
             while self.keys[i] != EMPTY_KEY {
                 i = (i + 1) & mask;
             }
-            self.displacement += self.displacement_at(i, key);
+            self.displacement += i.wrapping_sub(home) & mask;
             self.keys[i] = key;
-            self.vals[i] = val;
+            self.vals[i] = self.vals[old].take();
         }
+        self.keys.truncate(new_cap);
+        self.vals.truncate(new_cap);
     }
 
-    /// Removes every entry while retaining the table's capacity.
+    /// Number of slots (a power of two ≥ 16).
+    #[must_use]
+    pub fn slots(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Removes every entry and sets the slot count to `slots`, inside
+    /// the table's allocation when it is large enough.
     ///
-    /// A cleared table starts the next solve with zero entries but no
-    /// fresh allocation or rehash ramp-up (the 1-D solver scratch
-    /// reuses its memo this way). Between clears the table stays
-    /// insert-only, so the running displacement sum behind
-    /// [`Self::probes`] stays exact.
-    pub fn clear(&mut self) {
-        if self.len == 0 {
-            return;
-        }
-        self.keys.fill(EMPTY_KEY);
-        self.vals.fill_with(|| None);
+    /// The next run then fills the table exactly as it would fill a
+    /// fresh one started at `slots`: the same layout, the same
+    /// [`Self::probes`], the same iteration order, and the same growth
+    /// points. Only the allocation differs, so a retained table skips
+    /// the page faults of a fresh one. Between resets the table stays
+    /// insert-only, so the running displacement sum stays exact.
+    ///
+    /// # Panics
+    /// Panics unless `slots` is a power of two of at least 16.
+    pub fn reset(&mut self, slots: usize) {
+        assert!(
+            slots.is_power_of_two() && slots >= Self::MIN_SLOTS,
+            "slot count {slots} must be a power of two of at least {}",
+            Self::MIN_SLOTS
+        );
+        self.keys.clear();
+        self.keys.reserve_exact(slots);
+        self.keys.resize(slots, EMPTY_KEY);
+        self.vals.clear();
+        self.vals.reserve_exact(slots);
+        self.vals.resize_with(slots, || None);
         self.len = 0;
         self.displacement = 0;
     }
@@ -595,26 +646,33 @@ mod tests {
     }
 
     #[test]
-    fn table_clear_retains_capacity_and_resets_contents() {
+    fn table_reset_keeps_allocation_and_empties_contents() {
         let mut t: StateTable<u64> = StateTable::new();
         for i in 0..1_000u64 {
             t.insert(pack_state_1d(i as u32, 0, i), i);
         }
-        let cap = t.keys.len();
-        t.clear();
+        let alloc = t.allocation();
+        t.reset(64);
         assert_eq!(t.len(), 0);
         assert!(t.is_empty());
-        assert_eq!(t.keys.len(), cap, "clear must keep capacity");
+        assert_eq!(t.slots(), 64);
         assert_eq!(t.probes(), 0);
         for i in 0..1_000u64 {
             assert_eq!(t.get(pack_state_1d(i as u32, 0, i)), None);
         }
-        // Refill after clear behaves like a fresh table.
+        // Refilling to the earlier size grows inside the same allocation.
         for i in 0..1_000u64 {
             assert!(t.insert(pack_state_1d(i as u32, 1, i), i * 2).is_none());
+            assert_eq!(t.allocation(), alloc, "after {} inserts", i + 1);
         }
         assert_eq!(t.len(), 1_000);
         assert_eq!(t.get(pack_state_1d(17, 1, 17)), Some(&34));
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn table_reset_rejects_a_slot_count_below_sixteen() {
+        StateTable::<u64>::new().reset(8);
     }
 
     #[test]
@@ -688,17 +746,17 @@ mod proptests {
     }
 
     /// An operation against the table: insert, lookup, or a wholesale
-    /// clear (the workspace-reuse lifecycle).
+    /// reset to 16, 64 or 256 slots (the retained-memo lifecycle).
     #[derive(Debug, Clone, Copy)]
     enum Op {
         Insert(u128, u64),
         Get(u128),
-        Clear,
+        Reset(usize),
     }
 
-    /// Insert/lookup arms are repeated so `Clear` stays rare (the
+    /// Insert/lookup arms are repeated so `Reset` stays rare (the
     /// vendored `prop_oneof` has no weight syntax): long insert runs
-    /// are needed to cross growth boundaries between clears.
+    /// are needed to cross growth boundaries between resets.
     fn op_strategy() -> impl Strategy<Value = Op> {
         let insert = || (key_strategy(), any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v));
         let get = || key_strategy().prop_map(Op::Get);
@@ -710,17 +768,17 @@ mod proptests {
             get(),
             get(),
             get(),
-            Just(Op::Clear),
+            (0..3u32).prop_map(|p| Op::Reset(16 << (2 * p))),
         ]
     }
 
     proptest! {
         /// The open-addressing table is observationally equivalent to a
         /// `BTreeMap` reference model under any interleaving of inserts,
-        /// lookups, and clears, across growth/rehash boundaries (tiny
-        /// initial capacity forces several), and its final iteration
-        /// contents match the model exactly. The running probe count
-        /// equals a full-table displacement scan after every operation.
+        /// lookups, and resets, across growth/rehash boundaries, and its
+        /// final iteration contents match the model exactly. The running
+        /// probe count equals a full-table displacement scan after every
+        /// operation.
         #[test]
         fn state_table_matches_btreemap_model(
             ops in proptest::collection::vec(op_strategy(), 0..400),
@@ -733,8 +791,8 @@ mod proptests {
                         prop_assert_eq!(table.insert(key, value), model.insert(key, value));
                     }
                     Op::Get(key) => prop_assert_eq!(table.get(key), model.get(&key)),
-                    Op::Clear => {
-                        table.clear();
+                    Op::Reset(slots) => {
+                        table.reset(slots);
                         model.clear();
                     }
                 }
@@ -746,6 +804,41 @@ mod proptests {
             got.sort_unstable();
             let want: Vec<(u128, u64)> = model.into_iter().collect();
             prop_assert_eq!(got, want);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A table that grew large and was reset to `slots` fills exactly
+        /// like a fresh table started at `slots`: the same slot count,
+        /// probes and iteration order after every insert, across growth
+        /// boundaries. Its growth stays inside the retained allocation.
+        #[test]
+        fn state_table_reset_replays_like_a_fresh_table(
+            keys in proptest::collection::vec(key_strategy(), 0..300),
+            slots_pow in 0..3u32,
+        ) {
+            let slots = 16 << (2 * slots_pow);
+            let mut retained: StateTable<u64> = StateTable::new();
+            // 1,000 distinct keys reach 4,096 slots, beyond what 300
+            // inserts grow any start below 4,096 slots to.
+            for k in 0..1_000u128 {
+                retained.insert(k << 64, 0);
+            }
+            retained.reset(slots);
+            let alloc = retained.allocation();
+            let mut fresh: StateTable<u64> = StateTable::new();
+            fresh.reset(slots);
+            for (v, &key) in keys.iter().enumerate() {
+                let v = v as u64;
+                prop_assert_eq!(retained.insert(key, v), fresh.insert(key, v));
+                prop_assert_eq!(retained.slots(), fresh.slots());
+                prop_assert_eq!(retained.probes(), fresh.probes());
+                prop_assert_eq!(retained.allocation(), alloc);
+            }
+            let order = |t: &StateTable<u64>| t.iter().map(|(k, &v)| (k, v)).collect::<Vec<_>>();
+            prop_assert_eq!(order(&retained), order(&fresh));
         }
     }
 }

@@ -11,8 +11,9 @@
 //!
 //! Everything in this crate computes costs as **exactly this maximum
 //! over a finite candidate set**, where each candidate is the fixed
-//! float expression `fl(fl(|d_i − d_j|) / fl(r_i + r_j))`. That choice
-//! is load-bearing for the solver's twin discipline: a bucket's
+//! float expression `fl(fl(|d_i − d_j|) / fl(r_i + r_j))` (taken on
+//! halved operands where `r_i + r_j` overflows; see `candidate`). That
+//! choice is load-bearing for the solver's twin discipline: a bucket's
 //! candidate set only shrinks when the bucket shrinks, and `max` over a
 //! subset is `≤` the max over the superset *bit-exactly* — so the DP's
 //! cost matrix is monotone in the sense the binary-search split
@@ -23,7 +24,37 @@
 //! max/min come from O(1) sparse-table queries. The collapse is itself
 //! bit-exact (rounding is monotone, and the extreme pair is a
 //! candidate), which `uniform_denominators_match_the_sparse_table`
-//! verifies.
+//! verifies. Where `max − min` overflows (data near `f64::MAX`), the
+//! uniform half-range is taken as `max/2 − min/2` instead: halving is
+//! exact, so both forms round the same real `(max − min)/2`, and every
+//! input whose range is finite keeps its bits.
+
+/// `(hi − lo) / 2`, computed as `hi/2 − lo/2` only when `hi − lo`
+/// overflows, so it is finite whenever `hi` and `lo` are.
+fn half_range(hi: f64, lo: f64) -> f64 {
+    let range = hi - lo;
+    if range.is_finite() {
+        range / 2.0
+    } else {
+        hi / 2.0 - lo / 2.0
+    }
+}
+
+/// The weighted candidate `|d_i − d_j| / (r_i + r_j)`. Where the
+/// denominator sum overflows — for the relative metric's `r ≥ |d|` it
+/// does whenever the difference does — both sides are halved first:
+/// halving is exact, so the quotient rounds the same real value, where
+/// the plain form would give `0` or `NaN` and understate the bucket's
+/// cost. Every input whose sums are finite keeps its bits.
+#[inline]
+fn candidate(di: f64, dj: f64, ri: f64, rj: f64) -> f64 {
+    let rsum = ri + rj;
+    if rsum.is_finite() {
+        (di - dj).abs() / rsum
+    } else {
+        (di / 2.0 - dj / 2.0).abs() / (ri / 2.0 + rj / 2.0)
+    }
+}
 
 /// Sparse tables answering range max/min over `data` in O(1).
 pub(crate) struct RangeExtrema {
@@ -132,9 +163,7 @@ impl<'a> Costs<'a> {
         self.row[e] = 0.0;
         let mut suffix = 0.0f64;
         for m in (0..e).rev() {
-            let diff = (data[e] - data[m]).abs();
-            let rsum = den[e] + den[m];
-            suffix = suffix.max(diff / rsum);
+            suffix = suffix.max(candidate(data[e], data[m], den[e], den[m]));
             self.row[m] = self.row[m].max(suffix);
         }
         self.end = Some(e);
@@ -145,7 +174,7 @@ impl<'a> Costs<'a> {
     pub(crate) fn cost(&mut self, m: usize, end: usize) -> f64 {
         self.evals += 1;
         match &self.extrema {
-            Some(ex) => (ex.max(m, end) - ex.min(m, end)) / 2.0,
+            Some(ex) => half_range(ex.max(m, end), ex.min(m, end)),
             None => {
                 debug_assert_eq!(self.end, Some(end), "weighted row not advanced");
                 self.row[m]
@@ -166,14 +195,14 @@ pub(crate) fn fit(data: &[f64], denoms: Option<&[f64]>, l: usize, r: usize) -> (
                 lo = lo.min(d);
                 hi = hi.max(d);
             }
-            ((hi - lo) / 2.0, lo + (hi - lo) / 2.0)
+            let half = half_range(hi, lo);
+            (half, lo + half)
         }
         Some(den) => {
             let mut cost = 0.0f64;
             for i in l..=r {
                 for j in l..i {
-                    let diff = (data[i] - data[j]).abs();
-                    cost = cost.max(diff / (den[i] + den[j]));
+                    cost = cost.max(candidate(data[i], data[j], den[i], den[j]));
                 }
             }
             // The feasible band for the value at error `cost`:
@@ -183,7 +212,7 @@ pub(crate) fn fit(data: &[f64], denoms: Option<&[f64]>, l: usize, r: usize) -> (
                 lo = lo.max(data[i] - cost * den[i]);
                 hi = hi.min(data[i] + cost * den[i]);
             }
-            (cost, lo + (hi - lo) / 2.0)
+            (cost, lo + half_range(hi, lo))
         }
     }
 }

@@ -211,6 +211,16 @@ pub fn solve(
     let mut achieved = 0.0f64;
     for &start in &starts_rev {
         let (cost, value) = fit(data, denoms, start, bucket_end - 1);
+        // Near `f64::MAX` a weighted cost (a difference past MAX over
+        // small denominators) or a band edge `d_i ± cost·r_i` can still
+        // overflow: refuse such a bucket rather than publish it.
+        if !(cost.is_finite() && value.is_finite()) {
+            return Err(WsynError::invalid(format!(
+                "hist: the fit of bucket [{start}, {bucket_end}) overflows f64 \
+                 (cost {cost}, value {value}); data this close to f64::MAX \
+                 cannot be certified under this metric"
+            )));
+        }
         achieved = achieved.max(cost);
         buckets.push(Bucket { start, value });
         bucket_end = start;
@@ -365,6 +375,56 @@ mod tests {
         assert_eq!(full.objective, 0.0);
         assert_eq!(full.synopsis.len(), d.len());
         assert_eq!(full.synopsis.reconstruct(), d);
+    }
+
+    /// Data near `f64::MAX`: a bucket spanning `MAX` and `-MAX` has a
+    /// range past `f64::MAX`, and relative-error denominator sums
+    /// overflow. Both metrics still certify the true objective: the
+    /// absolute one fits that bucket at half-range `MAX` around 0, and
+    /// the relative one reaches 1 (opposite signs) or the true ratio
+    /// instead of the `0` an overflowed sum would give.
+    #[test]
+    fn data_near_max_is_certified_at_its_true_objective() {
+        let max = f64::MAX;
+        let realized = |d: &[f64], den: Option<&[f64]>, run: &HistRun| {
+            d.iter()
+                .zip(run.synopsis.reconstruct())
+                .enumerate()
+                .map(|(i, (x, v))| (x - v).abs() / den.map_or(1.0, |r| r[i]))
+                .fold(0.0f64, f64::max)
+        };
+        let d = [max, -max, max, 0.0];
+        let den: Vec<f64> = d.iter().map(|v| v.abs().max(1.0)).collect();
+        for split in [SplitStrategy::Binary, SplitStrategy::Exhaustive] {
+            for b in [1, 2] {
+                let run = solve(&d, None, b, split).unwrap();
+                assert_eq!(run.objective, max, "abs b={b}");
+                assert_eq!(realized(&d, None, &run), max, "abs b={b}");
+            }
+            for b in [1, 2, 3] {
+                let run = solve(&d, Some(&den), b, split).unwrap();
+                assert_eq!(run.objective, 1.0, "rel b={b}");
+                assert_eq!(realized(&d, Some(&den), &run), 1.0, "rel b={b}");
+            }
+            // One bucket over two same-sign values whose denominators
+            // sum past MAX: the cost is their true ratio 1/19, not 0.
+            let d = [max, 0.9 * max];
+            let den = [max, 0.9 * max];
+            let run = solve(&d, Some(&den), 1, split).unwrap();
+            assert!(
+                (run.objective - 1.0 / 19.0).abs() < 1e-12,
+                "{}",
+                run.objective
+            );
+            assert!(realized(&d, Some(&den), &run) <= run.objective * (1.0 + 1e-12));
+        }
+        // A difference past MAX over denominators no metric produces has
+        // no finite cost: a typed refusal that names the overflow.
+        let err = solve(&[max, -max], Some(&[0.5, 0.5]), 1, SplitStrategy::Binary).unwrap_err();
+        assert!(
+            matches!(&err, WsynError::Invalid(m) if m.contains("overflows f64")),
+            "{err:?}"
+        );
     }
 
     #[test]

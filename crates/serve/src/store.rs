@@ -1,15 +1,16 @@
-//! Per-column state: data, synopsis, guarantee, and reusable solver
-//! storage.
+//! Per-column state: data, synopsis, guarantee, and the memo start size.
 //!
 //! A [`Column`] is the workspace's one dynamic synopsis: it owns its
 //! data (a plain vector, O(1) per point update), the most recent build
 //! ([`Built`]: synopsis, objective, metric, drift bookkeeping), and a
 //! persistent [`SolverScratch`]. Every build solves the column's current
 //! data with a fresh [`MinMaxErr`] (an O(N) transform beside the DP) and
-//! runs [`Thresholder::threshold_with_reusing`] with that scratch: the DP
-//! clears the memo inside and keeps its allocation, so drift rebuilds
-//! skip the memo growth ramp. No DP state carries over from one build to
-//! the next.
+//! runs [`Thresholder::threshold_with_reusing`] with that scratch. The
+//! memo the DP fills belongs to the shard worker running the build and
+//! is reset at every run; the scratch records only the slot count the
+//! last run ended at, where the next one starts, so drift rebuilds skip
+//! the memo growth ramp while a column holds no table memory. No DP
+//! state carries over from one build to the next.
 //!
 //! Point updates are *batched*: [`Column::enqueue`] validates and queues
 //! them (the cheap ack on the ingest path), and [`Column::drain`]
@@ -1105,6 +1106,22 @@ mod tests {
         let built = col.built().unwrap();
         assert_eq!(built.family_spec.as_deref(), Some("auto"));
         assert_eq!(built.drift_abs, 0.0, "rebuild resets drift");
+    }
+
+    /// Both families solve `[MAX, -MAX, MAX, 0]` at one and two
+    /// buckets or coefficients, so an `auto` column builds there: the
+    /// histogram fits the `MAX`-wide bucket at objective `MAX`.
+    #[test]
+    fn auto_builds_on_data_near_max() {
+        let max = f64::MAX;
+        let mut col = Column::new(&[max, -max, max, 0.0], 2.0).unwrap();
+        let obs = Collector::noop();
+        for b in [1, 2] {
+            let hist = col.build(b, "abs", Some("hist"), &obs).unwrap();
+            assert_eq!(hist.objective, max, "b={b}");
+            let auto = col.build(b, "abs", Some("auto"), &obs).unwrap();
+            assert_eq!(auto.family, "minmax", "b={b}: the wavelet wins or ties");
+        }
     }
 
     #[test]

@@ -55,11 +55,23 @@
 //! `N = 2^20`, and 30 for the largest domain a `u32` slot id allows
 //! (`N = 2^31`). `trace` walks the decisions on an explicit stack.
 //!
-//! **Memo.** [`run`] clears the caller's memo at entry, so every run
-//! solves from scratch and the memo holds no state between runs. A
-//! caller that solves many times (the server's columns, the streaming
-//! rebuild policy) passes the same table each time, and the clear keeps
-//! its capacity, skipping the growth ramp of a fresh table.
+//! **Memo.** Each thread keeps one memo table for as long as it lives,
+//! and every run on that thread borrows it. [`run`] resets it at entry
+//! to the slot count the caller names, so every run solves from scratch
+//! and no state carries over between runs. The table's memory stays
+//! with the thread, so a solve after the first refills pages that are
+//! already mapped instead of faulting in a fresh table: the thread holds
+//! at most `1.25 ×` the largest table it grew (see [`StateTable`]). What
+//! the caller keeps is only the slot count: a cold run starts at
+//! [`Memo::MIN_SLOTS`], and a caller that solves many times (the
+//! server's columns) passes the count its last run ended at, which skips
+//! the 4× growth ramp. A run that finds the memo already borrowed (a
+//! solve nested inside a solve on the same thread) gets a fresh table.
+//! The reset makes the layout a function of the start count and the
+//! inserts alone, so `states`, `probes` and `peak_live` do not depend on
+//! which thread ran or what it solved before.
+
+use std::cell::Cell;
 
 use wsyn_core::{is_zero, narrow_u32, pack_state_1d, DpStats, StateTable};
 use wsyn_haar::ErrorTree1d;
@@ -80,6 +92,11 @@ pub(crate) struct Entry {
 /// The kernel's `(node, budget, e)` memo.
 pub(crate) type Memo = StateTable<Entry>;
 
+thread_local! {
+    /// This thread's memo, taken out while a run borrows it.
+    static RETAINED: Cell<Option<Memo>> = const { Cell::new(None) };
+}
+
 /// A pending subproblem on the trace stack.
 #[derive(Clone, Copy)]
 struct Frame {
@@ -88,24 +105,33 @@ struct Frame {
     e: f64,
 }
 
-/// Runs the kernel for budget `b` in `memo`, which is cleared first.
-/// `prune` toggles the branch-and-bound cuts; results are identical
-/// either way (the pruned kernel writes a subset of the unpruned
-/// kernel's bit-identical memo).
+/// Runs the kernel for budget `b` in this thread's memo, reset to
+/// `*slots` slots first; `*slots` then holds the memo's final slot
+/// count. `prune` toggles the branch-and-bound cuts; results are
+/// identical either way (the pruned kernel writes a subset of the
+/// unpruned kernel's bit-identical memo).
 ///
 /// The stats describe this run: `states` and `peak_live` are the memo's
 /// final length. `probes` is the table's displacement sum, which
-/// depends on its capacity, so a reused table that kept a larger
-/// capacity from an earlier run reports fewer probes than a fresh one.
+/// depends on the slot count, so a run that starts at the larger count
+/// an earlier run ended at reports fewer probes than a cold one.
 pub(super) fn run(
     tree: &ErrorTree1d,
     tables: &MetricTables,
     b: usize,
     split: SplitSearch,
     prune: bool,
-    memo: &mut Memo,
+    slots: &mut usize,
 ) -> ThresholdResult {
-    memo.clear();
+    // Absent while an outer run on this thread holds it, and gone while
+    // the thread tears down its locals: either way this run gets a
+    // fresh table.
+    let mut memo = RETAINED
+        .try_with(Cell::take)
+        .ok()
+        .flatten()
+        .unwrap_or_default();
+    memo.reset(*slots);
     let mut kernel = Kernel {
         tree,
         denom: &tables.denom,
@@ -113,7 +139,7 @@ pub(super) fn run(
         n: tree.n(),
         split,
         prune,
-        memo,
+        memo: &mut memo,
         leaf_evals: 0,
     };
     let objective = kernel.solve(b);
@@ -126,6 +152,9 @@ pub(super) fn run(
         probes: kernel.memo.probes(),
         peak_live: kernel.memo.len(),
     };
+    *slots = memo.slots();
+    // Fails only during thread teardown, when the table is dropped.
+    let _ = RETAINED.try_with(|cell| cell.set(Some(memo)));
     ThresholdResult {
         synopsis: Synopsis1d::from_indices(tree, &retained),
         objective,
@@ -497,5 +526,27 @@ mod tests {
                 .expect("the small-stack run completes")
         });
         assert_eq!(small, here);
+    }
+
+    /// A run that finds this thread's memo already borrowed — as a solve
+    /// nested in a solve would — gets a fresh table and the same result
+    /// and counters, and the borrowed table is left to its holder.
+    #[test]
+    fn a_run_while_the_memo_is_borrowed_uses_a_fresh_table() {
+        let data: Vec<f64> = (0..64).map(|i| f64::from((i * 37 + 11) % 101)).collect();
+        let solver = MinMaxErr::new(&data).unwrap();
+        let run = || {
+            let r = solver.run(8, ErrorMetric::absolute());
+            (r.objective.to_bits(), r.synopsis.indices(), r.stats)
+        };
+        let first = run();
+        let held = super::RETAINED.with(std::cell::Cell::take);
+        assert!(
+            held.is_some(),
+            "a finished run returns the memo to its thread"
+        );
+        assert_eq!(run(), first);
+        super::RETAINED.with(|retained| retained.set(held));
+        assert_eq!(run(), first);
     }
 }

@@ -269,18 +269,22 @@ impl MinMaxErr {
     /// The result is not certified here: the [`crate::Thresholder`]
     /// methods check it before they publish it.
     pub fn run_with(&self, b: usize, metric: ErrorMetric, config: Config) -> ThresholdResult {
-        self.run_in(b, metric, config, &mut Memo::new())
+        let mut cold = Memo::MIN_SLOTS;
+        self.run_from(b, metric, config, &mut cold)
     }
 
-    /// [`Self::run_with`] with the dedup engines' memo supplied by the
-    /// caller, so repeated runs reuse its allocation. The memo is
-    /// cleared first; no state carries over between runs.
-    pub(crate) fn run_in(
+    /// [`Self::run_with`] with the dedup engines' memo started at
+    /// `*slots` slots instead of the fewest; `*slots` then holds the
+    /// count the memo ended at. A caller that solves many times passes
+    /// the same count each time and so skips the memo's growth ramp.
+    /// Only the `probes` counter depends on the start; no state carries
+    /// over between runs.
+    pub(crate) fn run_from(
         &self,
         b: usize,
         metric: ErrorMetric,
         config: Config,
-        memo: &mut Memo,
+        slots: &mut usize,
     ) -> ThresholdResult {
         // A subtree whose budget reaches its own coefficient count can
         // keep all of them, so its value, keep decision and leftmost
@@ -294,7 +298,7 @@ impl MinMaxErr {
         match config.engine {
             Engine::Dedup | Engine::DedupExhaustive => {
                 let prune = matches!(config.engine, Engine::Dedup);
-                dedup::run(&self.tree, &tables, b, config.split, prune, memo)
+                dedup::run(&self.tree, &tables, b, config.split, prune, slots)
             }
             Engine::SubsetMask => {
                 subset::run(&self.tree, &self.data, &tables.denom, b, config.split)

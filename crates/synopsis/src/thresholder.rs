@@ -5,7 +5,7 @@
 //! `wsyn-prob` — answer the same question: *given a budget `B` and an
 //! error metric, which coefficients go into the synopsis and what error
 //! does that achieve?* [`Thresholder`] captures exactly that contract so
-//! the CLI, the AQP layer, the streaming rebuild policy, and the
+//! the CLI, the family registry, the server's columns and the
 //! experiment binaries can hold a `Box<dyn Thresholder>` instead of
 //! dispatching with bespoke match arms per algorithm.
 //!
@@ -14,9 +14,10 @@
 //! ε-schemes and an observability [`Collector`] slot.
 //! [`Thresholder::threshold`] is a thin wrapper over default
 //! parameters, and [`Thresholder::threshold_with_reusing`] lets a
-//! caller that solves many times lend the solver its storage
-//! ([`SolverScratch`]). A combination a solver cannot serve (e.g.
-//! `OnePlusEps` under a relative metric) returns
+//! caller that solves many times keep the one fact worth carrying
+//! between runs, where the 1-D memo should start ([`SolverScratch`]).
+//! A combination a solver cannot serve (e.g. `OnePlusEps` under a
+//! relative metric) returns
 //! [`WsynError::Unsupported`] rather than silently substituting a
 //! different computation.
 
@@ -187,12 +188,15 @@ pub trait Thresholder {
     /// requested parameter combination.
     fn threshold_with(&self, params: &RunParams) -> Result<ThresholdRun, WsynError>;
 
-    /// [`Thresholder::threshold_with`] with caller-provided reusable
-    /// solver storage. Callers that solve many times (the server's
-    /// columns, streaming rebuilds) thread one [`SolverScratch`] through
-    /// every call. The optimal 1-D DP clears the memo inside and reuses
-    /// its allocation; the default ignores the scratch. Results are
-    /// identical to [`Thresholder::threshold_with`] by contract.
+    /// [`Thresholder::threshold_with`] with a caller-kept
+    /// [`SolverScratch`]. A caller that solves many times (the server's
+    /// columns) threads one scratch through every call. The optimal 1-D
+    /// DP starts its memo at the slot count the scratch recorded, which
+    /// skips the memo's growth ramp, and records the count it ended at;
+    /// the default ignores the scratch. Objective, synopsis, `states`
+    /// and `peak_live` are identical to [`Thresholder::threshold_with`]
+    /// by contract; `probes` may be lower, since it depends on the slot
+    /// count.
     ///
     /// # Errors
     /// Same conditions as [`Thresholder::threshold_with`].
@@ -216,26 +220,30 @@ pub trait Thresholder {
     }
 }
 
-/// Reusable solver storage for [`Thresholder::threshold_with_reusing`]:
-/// the 1-D DP's memo table, which every run clears before it starts, so
-/// only its allocation carries over between runs. One scratch serves
-/// any mix of solvers.
-#[derive(Default)]
+/// What a caller that solves many times keeps between
+/// [`Thresholder::threshold_with_reusing`] calls: the slot count the
+/// 1-D DP's memo ended its last run at, where the next run starts. The
+/// memo itself belongs to the solving thread and is reset at every run
+/// (see [`crate::one_dim`]), so the scratch holds no DP state and no
+/// table memory. One scratch serves any mix of solvers.
+#[derive(Debug)]
 pub struct SolverScratch {
-    pub(crate) one_dim: Memo,
+    slots: usize,
 }
 
 impl SolverScratch {
-    /// An empty scratch.
+    /// A scratch whose first run starts as a cold one does.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        SolverScratch {
+            slots: Memo::MIN_SLOTS,
+        }
     }
 }
 
-impl std::fmt::Debug for SolverScratch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SolverScratch").finish_non_exhaustive()
+impl Default for SolverScratch {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -249,7 +257,7 @@ impl Thresholder for MinMaxErr {
     }
 
     fn threshold_with(&self, params: &RunParams) -> Result<ThresholdRun, WsynError> {
-        certified_run(self, params, &mut Memo::new())
+        certified_run(self, params, &mut SolverScratch::new())
     }
 
     fn threshold_with_reusing(
@@ -257,22 +265,28 @@ impl Thresholder for MinMaxErr {
         params: &RunParams,
         scratch: &mut SolverScratch,
     ) -> Result<ThresholdRun, WsynError> {
-        certified_run(self, params, &mut scratch.one_dim)
+        certified_run(self, params, scratch)
     }
 }
 
-/// Both [`MinMaxErr`] trait methods: the default DP in `memo`, then
-/// the certification every published result passes in every build
-/// (the realized maximum error must be finite and equal the objective).
+/// Both [`MinMaxErr`] trait methods: the default DP with its memo
+/// started where `scratch` says, then the certification every published
+/// result passes in every build (the realized maximum error must be
+/// finite and equal the objective).
 fn certified_run(
     solver: &MinMaxErr,
     params: &RunParams,
-    memo: &mut Memo,
+    scratch: &mut SolverScratch,
 ) -> Result<ThresholdRun, WsynError> {
     let _run = params.obs.span("minmax");
     let r = {
         let _dp = params.obs.span("dp");
-        let r = solver.run_in(params.budget, params.metric, Config::default(), memo);
+        let r = solver.run_from(
+            params.budget,
+            params.metric,
+            Config::default(),
+            &mut scratch.slots,
+        );
         params.obs.record_dp_stats(&r.stats);
         r
     };
@@ -495,6 +509,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The 1-D memo belongs to the solving thread, but a run's counters
+    /// do not depend on what that thread solved before: on a thread
+    /// whose memo already grew on a larger instance, `threshold_with`,
+    /// `run` and a first `threshold_with_reusing` report the same
+    /// `DpStats`, `probes` included, as on a freshly spawned thread.
+    #[test]
+    fn dp_stats_do_not_depend_on_the_solving_threads_history() {
+        let metric = ErrorMetric::absolute();
+        let data: Vec<f64> = (0..256).map(|i| f64::from((i * 37 + 11) % 101)).collect();
+        let larger: Vec<f64> = (0..4096).map(|i| f64::from((i * 53 + 7) % 997)).collect();
+        let solve = move || {
+            let s = MinMaxErr::new(&data).unwrap();
+            let params = RunParams::new(12, metric);
+            [
+                s.threshold_with(&params).unwrap().stats,
+                s.run(12, metric).stats,
+                s.threshold_with_reusing(&params, &mut SolverScratch::new())
+                    .unwrap()
+                    .stats,
+            ]
+        };
+        let fresh = std::thread::spawn(solve.clone()).join().unwrap();
+        let warmed = std::thread::spawn(move || {
+            let grown = MinMaxErr::new(&larger).unwrap().run(48, metric).stats;
+            assert!(
+                grown.states > 10 * fresh[0].states,
+                "{grown:?} vs {fresh:?}"
+            );
+            solve()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(warmed, fresh);
+        // The instance outgrows the fewest slots, so growth is covered.
+        assert!(fresh[0].states > 11 && fresh[0].probes > 0, "{fresh:?}");
     }
 
     /// Data near `f64::MAX` can overflow the reconstruction, so the DP's

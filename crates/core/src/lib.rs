@@ -246,16 +246,21 @@ pub fn hash_state(key: u128) -> u64 {
 /// slot never moves until the next growth or reset.
 ///
 /// The slot count only depends on the reset that started the run and
-/// the inserts since, never on the allocation behind it: growth rehashes
-/// inside the table's own allocation (see [`Self::reset`]), so a table
-/// that once grew to `T` slots holds at most `1.25 · T` slots of memory
-/// and refills to any size up to `T` without allocating.
+/// the inserts since, never on the allocation behind it. A table that
+/// was never reset is used once: each growth moves it into a fresh
+/// allocation of exactly the new slot count and frees the old one. Once
+/// reset, a table is kept for refills: growth rehashes inside its own
+/// allocation (see [`Self::reset`]), so a table that once grew to `T`
+/// slots holds at most `1.25 · T` slots of memory and refills to any
+/// size up to `T` without allocating.
 pub struct StateTable<V> {
     keys: Vec<u128>,
     vals: Vec<Option<V>>,
     len: usize,
     /// Sum of every resident entry's probe displacement.
     displacement: usize,
+    /// Set by [`Self::reset`]: growth stays inside the allocation.
+    kept: bool,
 }
 
 /// Empty-slot marker in the key array (see [`StateTable`] docs).
@@ -287,6 +292,7 @@ impl<V> StateTable<V> {
             vals: (0..cap).map(|_| None).collect(),
             len: 0,
             displacement: 0,
+            kept: false,
         }
     }
 
@@ -399,17 +405,30 @@ impl<V> StateTable<V> {
         }
     }
 
-    /// Rehashes into 4× the slots inside the table's own allocation: the
-    /// old slots move to a tail past the new slot count, the emptied head
-    /// takes them back in slot order, and the tail is cut off. The result
-    /// is the layout a rehash into a fresh table gives; the allocation
-    /// grows only when it holds fewer than `5 ×` the old slot count.
+    /// Rehashes into 4× the slots. A table used once moves to a fresh
+    /// allocation of exactly the new count. A kept table rehashes inside
+    /// its own allocation: the old slots move to a tail past the new slot
+    /// count, the emptied head takes them back in slot order, and the
+    /// tail is cut off; the allocation grows only when it holds fewer
+    /// than `5 ×` the old slot count. Either way the result is the layout
+    /// a rehash into a fresh table gives.
     fn grow(&mut self) {
         // Grow 4× per rehash: DP memos routinely reach millions of
         // states, and halving the number of full-table reinsert passes
         // matters more than the transiently lower load factor.
         let old_cap = self.keys.len();
         let new_cap = old_cap * 4;
+        self.displacement = 0;
+        if !self.kept {
+            let keys = std::mem::replace(&mut self.keys, vec![EMPTY_KEY; new_cap]);
+            let vals = std::mem::replace(&mut self.vals, (0..new_cap).map(|_| None).collect());
+            for (key, val) in keys.into_iter().zip(vals) {
+                if key != EMPTY_KEY {
+                    self.place(new_cap - 1, key, val);
+                }
+            }
+            return;
+        }
         self.keys.reserve_exact(new_cap);
         self.vals.reserve_exact(new_cap);
         self.keys.resize(new_cap + old_cap, EMPTY_KEY);
@@ -418,24 +437,28 @@ impl<V> StateTable<V> {
         head[..old_cap].swap_with_slice(tail);
         let (head, tail) = self.vals.split_at_mut(new_cap);
         head[..old_cap].swap_with_slice(tail);
-        let mask = new_cap - 1;
-        self.displacement = 0;
         for old in new_cap..new_cap + old_cap {
             let key = self.keys[old];
-            if key == EMPTY_KEY {
-                continue;
+            if key != EMPTY_KEY {
+                let val = self.vals[old].take();
+                self.place(new_cap - 1, key, val);
             }
-            let home = hash_state(key) as usize;
-            let mut i = home & mask;
-            while self.keys[i] != EMPTY_KEY {
-                i = (i + 1) & mask;
-            }
-            self.displacement += i.wrapping_sub(home) & mask;
-            self.keys[i] = key;
-            self.vals[i] = self.vals[old].take();
         }
         self.keys.truncate(new_cap);
         self.vals.truncate(new_cap);
+    }
+
+    /// Puts a rehashed entry into the first empty slot from its home
+    /// among the first `mask + 1` slots.
+    fn place(&mut self, mask: usize, key: u128, val: Option<V>) {
+        let home = hash_state(key) as usize;
+        let mut i = home & mask;
+        while self.keys[i] != EMPTY_KEY {
+            i = (i + 1) & mask;
+        }
+        self.displacement += i.wrapping_sub(home) & mask;
+        self.keys[i] = key;
+        self.vals[i] = val;
     }
 
     /// Number of slots (a power of two ≥ 16).
@@ -450,9 +473,11 @@ impl<V> StateTable<V> {
     /// The next run then fills the table exactly as it would fill a
     /// fresh one started at `slots`: the same layout, the same
     /// [`Self::probes`], the same iteration order, and the same growth
-    /// points. Only the allocation differs, so a retained table skips
-    /// the page faults of a fresh one. Between resets the table stays
-    /// insert-only, so the running displacement sum stays exact.
+    /// points. Only the allocation differs: from the first reset on, the
+    /// table is kept, and growth rehashes inside its allocation, so a
+    /// refill skips the page faults of a fresh table. Between resets the
+    /// table stays insert-only, so the running displacement sum stays
+    /// exact.
     ///
     /// # Panics
     /// Panics unless `slots` is a power of two of at least 16.
@@ -470,6 +495,7 @@ impl<V> StateTable<V> {
         self.vals.resize_with(slots, || None);
         self.len = 0;
         self.displacement = 0;
+        self.kept = true;
     }
 
     /// Iterates over `(key, value)` pairs in unspecified order.
@@ -648,6 +674,7 @@ mod tests {
     #[test]
     fn table_reset_keeps_allocation_and_empties_contents() {
         let mut t: StateTable<u64> = StateTable::new();
+        t.reset(StateTable::<u64>::MIN_SLOTS);
         for i in 0..1_000u64 {
             t.insert(pack_state_1d(i as u32, 0, i), i);
         }
@@ -667,6 +694,19 @@ mod tests {
         }
         assert_eq!(t.len(), 1_000);
         assert_eq!(t.get(pack_state_1d(17, 1, 17)), Some(&34));
+    }
+
+    /// A table that was never reset grows into allocations of exactly its
+    /// slot count, and frees each one it outgrows.
+    #[test]
+    fn table_used_once_grows_into_exact_allocations() {
+        let mut t: StateTable<u64> = StateTable::new();
+        for i in 0..1_000u64 {
+            t.insert(pack_state_1d(i as u32, 0, i), i);
+            let slots = t.slots();
+            assert_eq!(t.allocation().map(|(_, capacity)| capacity), [slots; 2]);
+        }
+        assert_eq!(t.slots(), 4_096);
     }
 
     #[test]

@@ -55,21 +55,23 @@
 //! `N = 2^20`, and 30 for the largest domain a `u32` slot id allows
 //! (`N = 2^31`). `trace` walks the decisions on an explicit stack.
 //!
-//! **Memo.** Each thread keeps one memo table for as long as it lives,
-//! and every run on that thread borrows it. [`run`] resets it at entry
-//! to the slot count the caller names, so every run solves from scratch
-//! and no state carries over between runs. The table's memory stays
-//! with the thread, so a solve after the first refills pages that are
-//! already mapped instead of faulting in a fresh table: the thread holds
-//! at most `1.25 ×` the largest table it grew (see [`StateTable`]). What
-//! the caller keeps is only the slot count: a cold run starts at
-//! [`Memo::MIN_SLOTS`], and a caller that solves many times (the
-//! server's columns) passes the count its last run ended at, which skips
-//! the 4× growth ramp. A run that finds the memo already borrowed (a
-//! solve nested inside a solve on the same thread) gets a fresh table.
-//! The reset makes the layout a function of the start count and the
-//! inserts alone, so `states`, `probes` and `peak_live` do not depend on
-//! which thread ran or what it solved before.
+//! **Memo.** A caller that solves many times (the server's columns)
+//! keeps only a slot count between runs; the memo behind it belongs to
+//! the solving thread. Each thread keeps one table for as long as it
+//! lives, and every such run on that thread borrows it, resets it to
+//! the caller's count (the count its last run ended at, which skips the
+//! 4× growth ramp) and records the count it ends at. A solve after the
+//! first refills pages that are already mapped instead of faulting in a
+//! fresh table, and the thread holds at most `1.25 ×` the largest table
+//! such a run grew (see [`StateTable`]). A cold run ([`run`] with no
+//! count) solves in a fresh table of [`Memo::MIN_SLOTS`] slots, which
+//! grows into exact allocations and is freed at the end, so a one-off
+//! solve leaves no memo on its thread. A run that finds the
+//! memo already borrowed (a solve nested inside a solve on the same
+//! thread) gets a fresh table too. The reset makes the layout a
+//! function of the start count and the inserts alone, so `states`,
+//! `probes` and `peak_live` do not depend on which thread ran or what
+//! it solved before.
 
 use std::cell::Cell;
 
@@ -105,11 +107,11 @@ struct Frame {
     e: f64,
 }
 
-/// Runs the kernel for budget `b` in this thread's memo, reset to
-/// `*slots` slots first; `*slots` then holds the memo's final slot
-/// count. `prune` toggles the branch-and-bound cuts; results are
-/// identical either way (the pruned kernel writes a subset of the
-/// unpruned kernel's bit-identical memo).
+/// Runs the kernel for budget `b`. With `slots`, in this thread's memo
+/// reset to `*slots` slots first, and `*slots` then holds the memo's
+/// final slot count; without, in a fresh table. `prune` toggles the
+/// branch-and-bound cuts; results are identical either way (the pruned
+/// kernel writes a subset of the unpruned kernel's bit-identical memo).
 ///
 /// The stats describe this run: `states` and `peak_live` are the memo's
 /// final length. `probes` is the table's displacement sum, which
@@ -121,17 +123,20 @@ pub(super) fn run(
     b: usize,
     split: SplitSearch,
     prune: bool,
-    slots: &mut usize,
+    slots: Option<&mut usize>,
 ) -> ThresholdResult {
-    // Absent while an outer run on this thread holds it, and gone while
-    // the thread tears down its locals: either way this run gets a
-    // fresh table.
-    let mut memo = RETAINED
-        .try_with(Cell::take)
-        .ok()
-        .flatten()
-        .unwrap_or_default();
-    memo.reset(*slots);
+    // A cold run gets a fresh table, and so does a reusing one that finds
+    // the thread's memo absent: an outer run on this thread holds it, or
+    // the thread is tearing down its locals.
+    let retained = if slots.is_some() {
+        RETAINED.try_with(Cell::take).ok().flatten()
+    } else {
+        None
+    };
+    let mut memo = retained.unwrap_or_default();
+    if let Some(&start) = slots.as_deref() {
+        memo.reset(start);
+    }
     let mut kernel = Kernel {
         tree,
         denom: &tables.denom,
@@ -152,9 +157,11 @@ pub(super) fn run(
         probes: kernel.memo.probes(),
         peak_live: kernel.memo.len(),
     };
-    *slots = memo.slots();
-    // Fails only during thread teardown, when the table is dropped.
-    let _ = RETAINED.try_with(|cell| cell.set(Some(memo)));
+    if let Some(slots) = slots {
+        *slots = memo.slots();
+        // Fails only during thread teardown, when the table is dropped.
+        let _ = RETAINED.try_with(|cell| cell.set(Some(memo)));
+    }
     ThresholdResult {
         synopsis: Synopsis1d::from_indices(tree, &retained),
         objective,
@@ -528,25 +535,39 @@ mod tests {
         assert_eq!(small, here);
     }
 
-    /// A run that finds this thread's memo already borrowed — as a solve
-    /// nested in a solve would — gets a fresh table and the same result
-    /// and counters, and the borrowed table is left to its holder.
+    /// A reusing run that finds this thread's memo already borrowed — as
+    /// a solve nested in a solve would — gets a fresh table and the same
+    /// result and counters, and the borrowed table is left to its
+    /// holder. A cold run neither takes nor returns the thread's memo.
     #[test]
     fn a_run_while_the_memo_is_borrowed_uses_a_fresh_table() {
         let data: Vec<f64> = (0..64).map(|i| f64::from((i * 37 + 11) % 101)).collect();
         let solver = MinMaxErr::new(&data).unwrap();
-        let run = || {
-            let r = solver.run(8, ErrorMetric::absolute());
+        let run = |reuse: bool| {
+            let mut slots = super::Memo::MIN_SLOTS;
+            let config = super::super::Config::default();
+            let r = solver.run_from(
+                8,
+                ErrorMetric::absolute(),
+                config,
+                reuse.then_some(&mut slots),
+            );
             (r.objective.to_bits(), r.synopsis.indices(), r.stats)
         };
-        let first = run();
+        let first = run(false);
+        assert!(
+            super::RETAINED.with(std::cell::Cell::take).is_none(),
+            "a cold run leaves the thread without a memo"
+        );
+        assert_eq!(run(true), first);
         let held = super::RETAINED.with(std::cell::Cell::take);
         assert!(
             held.is_some(),
-            "a finished run returns the memo to its thread"
+            "a finished reusing run returns the memo to its thread"
         );
-        assert_eq!(run(), first);
+        assert_eq!(run(true), first);
         super::RETAINED.with(|retained| retained.set(held));
-        assert_eq!(run(), first);
+        assert_eq!(run(true), first);
+        assert_eq!(run(false), first);
     }
 }

@@ -269,22 +269,21 @@ impl MinMaxErr {
     /// The result is not certified here: the [`crate::Thresholder`]
     /// methods check it before they publish it.
     pub fn run_with(&self, b: usize, metric: ErrorMetric, config: Config) -> ThresholdResult {
-        let mut cold = Memo::MIN_SLOTS;
-        self.run_from(b, metric, config, &mut cold)
+        self.run_from(b, metric, config, None)
     }
 
-    /// [`Self::run_with`] with the dedup engines' memo started at
-    /// `*slots` slots instead of the fewest; `*slots` then holds the
-    /// count the memo ended at. A caller that solves many times passes
-    /// the same count each time and so skips the memo's growth ramp.
-    /// Only the `probes` counter depends on the start; no state carries
-    /// over between runs.
+    /// [`Self::run_with`] for a caller that solves many times: with
+    /// `slots`, the dedup engines solve in the thread's retained memo
+    /// started at `*slots` slots instead of a fresh table, and `*slots`
+    /// then holds the count the memo ended at. Passing the same count
+    /// each time skips the memo's growth ramp. Only the `probes` counter
+    /// depends on the start; no state carries over between runs.
     pub(crate) fn run_from(
         &self,
         b: usize,
         metric: ErrorMetric,
         config: Config,
-        slots: &mut usize,
+        slots: Option<&mut usize>,
     ) -> ThresholdResult {
         // A subtree whose budget reaches its own coefficient count can
         // keep all of them, so its value, keep decision and leftmost

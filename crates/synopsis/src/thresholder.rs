@@ -191,9 +191,10 @@ pub trait Thresholder {
     /// [`Thresholder::threshold_with`] with a caller-kept
     /// [`SolverScratch`]. A caller that solves many times (the server's
     /// columns) threads one scratch through every call. The optimal 1-D
-    /// DP starts its memo at the slot count the scratch recorded, which
-    /// skips the memo's growth ramp, and records the count it ended at;
-    /// the default ignores the scratch. Objective, synopsis, `states`
+    /// DP solves in the thread's retained memo, started at the slot
+    /// count the scratch recorded, which skips the memo's growth ramp,
+    /// and records the count it ended at; the default ignores the
+    /// scratch. Objective, synopsis, `states`
     /// and `peak_live` are identical to [`Thresholder::threshold_with`]
     /// by contract; `probes` may be lower, since it depends on the slot
     /// count.
@@ -225,7 +226,8 @@ pub trait Thresholder {
 /// 1-D DP's memo ended its last run at, where the next run starts. The
 /// memo itself belongs to the solving thread and is reset at every run
 /// (see [`crate::one_dim`]), so the scratch holds no DP state and no
-/// table memory. One scratch serves any mix of solvers.
+/// table memory; cold runs use a fresh table and leave the thread's
+/// memo alone. One scratch serves any mix of solvers.
 #[derive(Debug)]
 pub struct SolverScratch {
     slots: usize,
@@ -257,7 +259,7 @@ impl Thresholder for MinMaxErr {
     }
 
     fn threshold_with(&self, params: &RunParams) -> Result<ThresholdRun, WsynError> {
-        certified_run(self, params, &mut SolverScratch::new())
+        certified_run(self, params, None)
     }
 
     fn threshold_with_reusing(
@@ -265,18 +267,18 @@ impl Thresholder for MinMaxErr {
         params: &RunParams,
         scratch: &mut SolverScratch,
     ) -> Result<ThresholdRun, WsynError> {
-        certified_run(self, params, scratch)
+        certified_run(self, params, Some(scratch))
     }
 }
 
-/// Both [`MinMaxErr`] trait methods: the default DP with its memo
-/// started where `scratch` says, then the certification every published
+/// Both [`MinMaxErr`] trait methods: the default DP, in the thread's
+/// memo started where `scratch` says or cold without one, then the certification every published
 /// result passes in every build (the realized maximum error must be
 /// finite and equal the objective).
 fn certified_run(
     solver: &MinMaxErr,
     params: &RunParams,
-    scratch: &mut SolverScratch,
+    scratch: Option<&mut SolverScratch>,
 ) -> Result<ThresholdRun, WsynError> {
     let _run = params.obs.span("minmax");
     let r = {
@@ -285,7 +287,7 @@ fn certified_run(
             params.budget,
             params.metric,
             Config::default(),
-            &mut scratch.slots,
+            scratch.map(|s| &mut s.slots),
         );
         params.obs.record_dp_stats(&r.stats);
         r
@@ -511,11 +513,12 @@ mod tests {
         }
     }
 
-    /// The 1-D memo belongs to the solving thread, but a run's counters
-    /// do not depend on what that thread solved before: on a thread
-    /// whose memo already grew on a larger instance, `threshold_with`,
-    /// `run` and a first `threshold_with_reusing` report the same
-    /// `DpStats`, `probes` included, as on a freshly spawned thread.
+    /// The reusing runs' memo belongs to the solving thread, but a run's
+    /// counters do not depend on what that thread solved before: on a
+    /// thread whose memo already grew on a larger instance,
+    /// `threshold_with`, `run` and a first `threshold_with_reusing`
+    /// report the same `DpStats`, `probes` included, as on a freshly
+    /// spawned thread.
     #[test]
     fn dp_stats_do_not_depend_on_the_solving_threads_history() {
         let metric = ErrorMetric::absolute();
@@ -534,7 +537,11 @@ mod tests {
         };
         let fresh = std::thread::spawn(solve.clone()).join().unwrap();
         let warmed = std::thread::spawn(move || {
-            let grown = MinMaxErr::new(&larger).unwrap().run(48, metric).stats;
+            let grown = MinMaxErr::new(&larger)
+                .unwrap()
+                .threshold_with_reusing(&RunParams::new(48, metric), &mut SolverScratch::new())
+                .unwrap()
+                .stats;
             assert!(
                 grown.states > 10 * fresh[0].states,
                 "{grown:?} vs {fresh:?}"

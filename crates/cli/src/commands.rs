@@ -1,4 +1,7 @@
-//! Subcommand implementations.
+//! Subcommand implementations. Every command writes its output through
+//! one handle, the `out` argument of [`dispatch`].
+
+use std::io::Write;
 
 use wsyn_aqp::{QueryEngine1d, StepEngine};
 use wsyn_datagen as datagen;
@@ -29,28 +32,31 @@ commands:
   query      --synopsis FILE  point <i> | range <lo> <hi> | avg <lo> <hi>
   query      --server HOST:PORT --column NAME  point <i> | range <lo> <hi> | avg <lo> <hi>
              (answers from a running wsyn-serve column, with its live guarantee)
-  serve      [--addr HOST:PORT] [--shards N] [--queue-depth N] [--tolerance T]
-             (sharded multi-tenant synopsis server; see DESIGN.md §14)
 
 data files hold one value per line ('#' comments allowed); synopses are JSON.";
 
-/// Dispatches a full argv (without the program name).
-pub fn dispatch(argv: &[String]) -> Result<(), String> {
+/// `writeln!` to a command's output handle; a failed write becomes the
+/// command's error.
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {
+        writeln!($out, $($arg)*).map_err(|e| format!("cannot write output: {e}"))
+    };
+}
+
+/// Dispatches a full argv (without the program name), writing the
+/// command's output to `out`.
+pub fn dispatch(argv: &[String], out: &mut dyn Write) -> Result<(), String> {
     let Some((cmd, rest)) = argv.split_first() else {
         return Err("no command given".into());
     };
     match cmd.as_str() {
-        "generate" => generate(&Args::parse(rest)?),
-        "transform" => transform_cmd(&Args::parse(rest)?),
-        "build" => build(&Args::parse(rest)?),
-        "families" => families(&Args::parse(rest)?),
-        "eval" => eval(&Args::parse(rest)?),
-        "query" => query(&Args::parse(rest)?),
-        "serve" => serve(&Args::parse(rest)?),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "generate" => generate(&Args::parse(rest)?, out),
+        "transform" => transform_cmd(&Args::parse(rest)?, out),
+        "build" => build(&Args::parse(rest)?, out),
+        "families" => families(&Args::parse(rest)?, out),
+        "eval" => eval(&Args::parse(rest)?, out),
+        "query" => query(&Args::parse(rest)?, out),
+        "help" | "--help" | "-h" => outln!(out, "{USAGE}"),
         other => Err(format!("unknown command '{other}'")),
     }
 }
@@ -58,9 +64,15 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
 /// Prints the synopsis-family registry: every `--algo` id the CLI, the
 /// server, and the conformance suite accept, with its guarantee kind
 /// and metric support.
-fn families(a: &Args) -> Result<(), String> {
+fn families(a: &Args, out: &mut dyn Write) -> Result<(), String> {
     a.ensure_known(&[])?;
-    println!("{:<12} {:<13} {:<10} summary", "id", "guarantee", "metrics");
+    outln!(
+        out,
+        "{:<12} {:<13} {:<10} summary",
+        "id",
+        "guarantee",
+        "metrics"
+    )?;
     for family in wsyn_serve::registry().families() {
         let guarantee = match family.guarantee {
             GuaranteeKind::Deterministic => "deterministic",
@@ -71,19 +83,23 @@ fn families(a: &Args) -> Result<(), String> {
             MetricSupport::AbsoluteOnly => "abs",
             MetricSupport::RelativeOnly => "rel",
         };
-        println!(
+        outln!(
+            out,
             "{:<12} {:<13} {:<10} {}",
-            family.id, guarantee, metrics, family.summary
-        );
+            family.id,
+            guarantee,
+            metrics,
+            family.summary
+        )?;
     }
-    println!(
+    outln!(
+        out,
         "\n(server builds also accept 'auto': solve minmax and hist, keep the\n\
          smaller objective, ties to minmax)"
-    );
-    Ok(())
+    )
 }
 
-fn generate(a: &Args) -> Result<(), String> {
+fn generate(a: &Args, stdout: &mut dyn Write) -> Result<(), String> {
     a.ensure_known(&["kind", "n", "seed", "skew", "total", "out"])?;
     let kind = a.req("kind")?;
     let n: usize = a.req_parse("n")?;
@@ -104,31 +120,20 @@ fn generate(a: &Args) -> Result<(), String> {
     };
     io::ensure_parent(out)?;
     io::write_data(out, &data)?;
-    println!("wrote {n} values ({kind}, seed {seed}) to {out}");
-    Ok(())
+    outln!(stdout, "wrote {n} values ({kind}, seed {seed}) to {out}")
 }
 
-fn transform_cmd(a: &Args) -> Result<(), String> {
+fn transform_cmd(a: &Args, out: &mut dyn Write) -> Result<(), String> {
     a.ensure_known(&["input"])?;
     let data = io::read_data(a.req("input")?)?;
     let w = transform::forward(&data).map_err(|e| e.to_string())?;
-    // Bulk output is routinely piped into `head`/`grep`; treat a closed
-    // pipe as a normal early exit instead of panicking.
-    use std::io::Write;
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
     for (j, c) in w.iter().enumerate() {
-        if let Err(e) = writeln!(out, "{j}\t{c}") {
-            if e.kind() == std::io::ErrorKind::BrokenPipe {
-                std::process::exit(0);
-            }
-            return Err(format!("cannot write to stdout: {e}"));
-        }
+        outln!(out, "{j}\t{c}")?;
     }
     Ok(())
 }
 
-fn build(a: &Args) -> Result<(), String> {
+fn build(a: &Args, stdout: &mut dyn Write) -> Result<(), String> {
     a.ensure_known(&["input", "budget", "metric", "algo", "out", "report", "eps"])?;
     let data = io::read_data(a.req("input")?)?;
     let budget: usize = a.req_parse("budget")?;
@@ -166,13 +171,14 @@ fn build(a: &Args) -> Result<(), String> {
         _ => return Err("the CLI builds 1-D synopses only".into()),
     };
     if thresholder.has_guarantee() {
-        println!(
+        outln!(
+            stdout,
             "{}: retained {} {}, guaranteed max error {:.6}",
             thresholder.name(),
             payload.len(),
             payload.unit(),
             run.objective
-        );
+        )?;
         if let (ErrorMetric::Relative { sanity }, true) = (metric, run.objective >= 1.0 - 1e-12) {
             eprintln!(
                 "note: the max relative error saturates at {:.3} — the budget cannot \
@@ -183,13 +189,14 @@ fn build(a: &Args) -> Result<(), String> {
             );
         }
     } else {
-        println!(
+        outln!(
+            stdout,
             "{}: retained {} {}, measured max error {:.6} (no guarantee)",
             thresholder.name(),
             payload.len(),
             payload.unit(),
             run.objective
-        );
+        )?;
     }
     let doc = SynopsisDoc {
         algorithm: thresholder.name().into(),
@@ -199,19 +206,19 @@ fn build(a: &Args) -> Result<(), String> {
     };
     io::ensure_parent(out)?;
     io::write_synopsis(out, &doc)?;
-    println!("wrote synopsis to {out}");
+    outln!(stdout, "wrote synopsis to {out}")?;
     if let Some(path) = report_path {
         let report = obs
             .report(wsyn_obs::run_meta(thresholder.name(), budget, &metric_spec))
             .ok_or_else(|| "recording collector lost".to_string())?;
         io::ensure_parent(&path)?;
         std::fs::write(&path, report.render()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote run report to {path}");
+        outln!(stdout, "wrote run report to {path}")?;
     }
     Ok(())
 }
 
-fn eval(a: &Args) -> Result<(), String> {
+fn eval(a: &Args, out: &mut dyn Write) -> Result<(), String> {
     a.ensure_known(&["synopsis", "input", "metric"])?;
     let doc = io::read_synopsis(a.req("synopsis")?)?;
     let data = io::read_data(a.req("input")?)?;
@@ -229,40 +236,30 @@ fn eval(a: &Args) -> Result<(), String> {
         .unwrap_or_else(|| "rel:1.0".into());
     let metric = ErrorMetric::parse(&metric_spec).map_err(|e| e.to_string())?;
     let recon = doc.payload.reconstruct();
-    println!("algorithm          : {}", doc.algorithm);
-    println!("{:<19}: {}", doc.payload.unit(), doc.payload.len());
+    outln!(out, "algorithm          : {}", doc.algorithm)?;
+    outln!(out, "{:<19}: {}", doc.payload.unit(), doc.payload.len())?;
     if doc.payload.is_empty() {
-        println!("note               : empty synopsis — reconstruction is all zeros");
+        outln!(
+            out,
+            "note               : empty synopsis — reconstruction is all zeros"
+        )?;
     }
-    println!("metric             : {metric_spec}");
-    println!(
+    outln!(out, "metric             : {metric_spec}")?;
+    outln!(
+        out,
         "max error          : {:.6}",
         metric.max_error(&data, &recon)
-    );
-    println!(
+    )?;
+    outln!(
+        out,
         "mean error         : {:.6}",
         metric.mean_error(&data, &recon)
-    );
-    println!("rmse               : {:.6}", rmse(&data, &recon));
+    )?;
+    outln!(out, "rmse               : {:.6}", rmse(&data, &recon))?;
     if let Some(obj) = doc.objective {
-        println!("built-in guarantee : {obj:.6}");
+        outln!(out, "built-in guarantee : {obj:.6}")?;
     }
     Ok(())
-}
-
-/// Runs a `wsyn-serve` server in the foreground until a client sends a
-/// `shutdown` request.
-fn serve(a: &Args) -> Result<(), String> {
-    a.ensure_known(&["addr", "shards", "queue-depth", "tolerance"])?;
-    let addr = a.opt("addr").unwrap_or("127.0.0.1:7878");
-    let config = wsyn_serve::ServeConfig {
-        shards: a.opt_parse("shards", 0usize)?,
-        queue_depth: a.opt_parse("queue-depth", 64usize)?,
-        tolerance: a.opt_parse("tolerance", 2.0f64)?,
-    };
-    let server = wsyn_serve::Server::bind(addr, &config)?;
-    println!("wsyn serving on {}", server.local_addr());
-    server.run()
 }
 
 /// The shared grammar of both query modes: `point <i>`, `range <lo>
@@ -312,7 +309,7 @@ fn parse_query(pos: &[String], n: usize) -> Result<wsyn_serve::QueryKind, String
 /// the column's *live* guarantee (which may have drifted past the
 /// built objective since the last rebuild — the local `--synopsis` mode
 /// can only report the frozen build-time guarantee).
-fn query_server(a: &Args) -> Result<(), String> {
+fn query_server(a: &Args, out: &mut dyn Write) -> Result<(), String> {
     a.ensure_known(&["server", "column"])?;
     let addr = a.req("server")?;
     let column = a.req("column")?;
@@ -340,25 +337,30 @@ fn query_server(a: &Args) -> Result<(), String> {
             };
             (end(0, f64::NEG_INFINITY), end(1, f64::INFINITY))
         });
-    print_answer(kind, est, interval);
-    Ok(())
+    print_answer(out, kind, est, interval)
 }
 
 /// Prints an answer the same way in both query modes.
-fn print_answer(kind: wsyn_serve::QueryKind, est: f64, interval: Option<(f64, f64)>) {
+fn print_answer(
+    out: &mut dyn Write,
+    kind: wsyn_serve::QueryKind,
+    est: f64,
+    interval: Option<(f64, f64)>,
+) -> Result<(), String> {
     match kind {
-        wsyn_serve::QueryKind::Point(i) => println!("point({i}) = {est}"),
-        wsyn_serve::QueryKind::RangeSum(lo, hi) => println!("sum[{lo}, {hi}) = {est}"),
-        wsyn_serve::QueryKind::RangeAvg(lo, hi) => println!("avg[{lo}, {hi}) = {est}"),
-    }
+        wsyn_serve::QueryKind::Point(i) => outln!(out, "point({i}) = {est}"),
+        wsyn_serve::QueryKind::RangeSum(lo, hi) => outln!(out, "sum[{lo}, {hi}) = {est}"),
+        wsyn_serve::QueryKind::RangeAvg(lo, hi) => outln!(out, "avg[{lo}, {hi}) = {est}"),
+    }?;
     if let Some((lo, hi)) = interval {
-        println!("guaranteed interval: [{lo}, {hi}]");
+        outln!(out, "guaranteed interval: [{lo}, {hi}]")?;
     }
+    Ok(())
 }
 
-fn query(a: &Args) -> Result<(), String> {
+fn query(a: &Args, out: &mut dyn Write) -> Result<(), String> {
     if a.opt("server").is_some() {
-        return query_server(a);
+        return query_server(a, out);
     }
     a.ensure_known(&["synopsis"])?;
     let doc = io::read_synopsis(a.req("synopsis")?)?;
@@ -379,8 +381,7 @@ fn query(a: &Args) -> Result<(), String> {
     let (metric, objective) = guarantee.unwrap_or((ErrorMetric::Absolute, f64::INFINITY));
     let answer = engine.answer(kind, metric, objective, 0.0)?;
     let interval = answer.interval.filter(|_| guarantee.is_some());
-    print_answer(kind, answer.est, interval.map(|iv| (iv.lo, iv.hi)));
-    Ok(())
+    print_answer(out, kind, answer.est, interval.map(|iv| (iv.lo, iv.hi)))
 }
 
 #[cfg(test)]
@@ -389,6 +390,11 @@ mod tests {
 
     fn v(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| (*x).to_string()).collect()
+    }
+
+    /// Runs a command, discarding its output.
+    fn dispatch(argv: &[String]) -> Result<(), String> {
+        super::dispatch(argv, &mut std::io::sink())
     }
 
     fn tmpdir(name: &str) -> String {

@@ -1,4 +1,4 @@
-//! Integer-scaled Haar transforms (§3.2.2).
+//! The integer-scaled Haar transform (§3.2.2).
 //!
 //! The `(1+ε)`-approximation scheme for maximum absolute error assumes all
 //! wavelet coefficients are integers, which the paper obtains by scaling
@@ -12,7 +12,7 @@
 //! [`HaarError::Overflow`] instead of wrapping.
 
 use crate::nd::NdShape;
-use crate::{is_pow2, log2_exact, HaarError};
+use crate::{cascade, log2_exact, HaarError};
 
 /// Result of an integer-scaled transform: `coeffs[i] = scale * W_A[i]`,
 /// all exactly integral.
@@ -37,130 +37,33 @@ impl ScaledCoeffs {
     }
 }
 
-#[inline]
-fn checked_scale(data: &[i64], scale: i64) -> Result<Vec<i64>, HaarError> {
-    data.iter()
-        .map(|&v| v.checked_mul(scale).ok_or(HaarError::Overflow))
-        .collect()
-}
-
-/// Integer-scaled 1-D Haar transform of integer data; scale is `N = 2^m`.
-///
-/// # Errors
-/// [`HaarError`] on bad lengths or on `i64` overflow.
-pub fn forward_scaled_1d(data: &[i64]) -> Result<ScaledCoeffs, HaarError> {
-    if data.is_empty() {
-        return Err(HaarError::Empty);
-    }
-    if !is_pow2(data.len()) {
-        return Err(HaarError::NotPowerOfTwo { len: data.len() });
-    }
-    let n = data.len();
-    let scale = 1i64.checked_shl(log2_exact(n)).ok_or(HaarError::Overflow)?;
-    let mut buf = checked_scale(data, scale)?;
-    // Buffer the whole level in scratch so detail writes never alias reads.
-    let mut scratch = vec![0i64; n];
-    let mut len = n;
-    while len > 1 {
-        let half = len / 2;
-        for i in 0..half {
-            let a = buf[2 * i];
-            let b = buf[2 * i + 1];
-            let sum = a.checked_add(b).ok_or(HaarError::Overflow)?;
-            let diff = a.checked_sub(b).ok_or(HaarError::Overflow)?;
-            debug_assert!(sum % 2 == 0 && diff % 2 == 0);
-            scratch[i] = sum / 2;
-            scratch[half + i] = diff / 2;
-        }
-        buf[..len].copy_from_slice(&scratch[..len]);
-        len = half;
-    }
-    Ok(ScaledCoeffs { coeffs: buf, scale })
-}
-
 /// Integer-scaled nonstandard D-dimensional Haar transform; scale is
-/// `2^{D·m}` for a `2^m`-per-side hypercube.
+/// `2^{D·m}` for a `2^m`-per-side hypercube (`N = 2^m` in 1-D).
 ///
 /// # Errors
 /// [`HaarError`] on non-hypercube shapes, shape mismatch, or overflow.
 pub fn forward_scaled_nd(shape: &NdShape, data: &[i64]) -> Result<ScaledCoeffs, HaarError> {
-    if !shape.is_hypercube() {
-        return Err(HaarError::UnequalSides);
-    }
+    let (side, d) = shape.cube()?;
     if data.len() != shape.len() {
         return Err(HaarError::ShapeMismatch {
             expected: shape.len(),
             actual: data.len(),
         });
     }
-    let side = shape.sides()[0];
-    let d = shape.ndims();
-    let m = log2_exact(side);
     let total_shift = u32::try_from(d)
         .map_err(|_| HaarError::Overflow)?
-        .checked_mul(m)
+        .checked_mul(log2_exact(side))
         .ok_or(HaarError::Overflow)?;
     if total_shift >= 63 {
         return Err(HaarError::Overflow);
     }
     let scale = 1i64 << total_shift;
-    let mut buf = checked_scale(data, scale)?;
-    let mut size = side;
-    while size > 1 {
-        for dim in 0..d {
-            step_along_i64(&mut buf, shape, dim, size)?;
-        }
-        size /= 2;
-    }
+    let mut buf = data
+        .iter()
+        .map(|&v| v.checked_mul(scale).ok_or(HaarError::Overflow))
+        .collect::<Result<Vec<_>, _>>()?;
+    cascade::forward_i64(&mut buf, side, d)?;
     Ok(ScaledCoeffs { coeffs: buf, scale })
-}
-
-fn step_along_i64(
-    data: &mut [i64],
-    shape: &NdShape,
-    dim: usize,
-    size: usize,
-) -> Result<(), HaarError> {
-    let d = shape.ndims();
-    let half = size / 2;
-    let mut stride = 1usize;
-    for k in (dim + 1)..d {
-        stride *= shape.sides()[k];
-    }
-    let mut coords = vec![0usize; d];
-    let mut lo = vec![0i64; half];
-    let mut hi = vec![0i64; half];
-    loop {
-        let base = shape.linearize(&coords);
-        for i in 0..half {
-            let a = data[base + 2 * i * stride];
-            let b = data[base + (2 * i + 1) * stride];
-            let sum = a.checked_add(b).ok_or(HaarError::Overflow)?;
-            let diff = a.checked_sub(b).ok_or(HaarError::Overflow)?;
-            debug_assert!(sum % 2 == 0 && diff % 2 == 0);
-            lo[i] = sum / 2;
-            hi[i] = diff / 2;
-        }
-        for i in 0..half {
-            data[base + i * stride] = lo[i];
-            data[base + (half + i) * stride] = hi[i];
-        }
-        let mut k = d;
-        loop {
-            if k == 0 {
-                return Ok(());
-            }
-            k -= 1;
-            if k == dim {
-                continue;
-            }
-            coords[k] += 1;
-            if coords[k] < size {
-                break;
-            }
-            coords[k] = 0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,10 +71,15 @@ mod tests {
     use super::*;
     use crate::nd::{nonstandard, NdArray};
 
+    /// The transform over a 1-D shape of `data.len()` cells.
+    fn scaled_1d(data: &[i64]) -> Result<ScaledCoeffs, HaarError> {
+        forward_scaled_nd(&NdShape::new(vec![data.len()])?, data)
+    }
+
     #[test]
     fn scaled_1d_matches_f64_transform() {
         let data = [2i64, 2, 0, 2, 3, 5, 4, 4];
-        let sc = forward_scaled_1d(&data).unwrap();
+        let sc = scaled_1d(&data).unwrap();
         assert_eq!(sc.scale, 8);
         let f: Vec<f64> = data.iter().map(|&v| v as f64).collect();
         let w = crate::transform::forward(&f).unwrap();
@@ -198,16 +106,14 @@ mod tests {
 
     #[test]
     fn to_f64_roundtrip() {
-        let data = [7i64, -3, 12, 0];
-        let sc = forward_scaled_1d(&data).unwrap();
+        let sc = scaled_1d(&[7, -3, 12, 0]).unwrap();
         let w = crate::transform::forward(&[7.0, -3.0, 12.0, 0.0]).unwrap();
         assert_eq!(sc.to_f64(), w);
     }
 
     #[test]
     fn max_abs_reports_rz() {
-        let data = [100i64, -100, 0, 0];
-        let sc = forward_scaled_1d(&data).unwrap();
+        let sc = scaled_1d(&[100, -100, 0, 0]).unwrap();
         assert_eq!(
             sc.max_abs(),
             sc.coeffs.iter().map(|c| c.abs()).max().unwrap()
@@ -217,16 +123,36 @@ mod tests {
 
     #[test]
     fn overflow_detected() {
-        let data = [i64::MAX / 2, i64::MAX / 2];
-        assert_eq!(forward_scaled_1d(&data).unwrap_err(), HaarError::Overflow);
+        // In the pairwise sum (the scaled cells still fit) ...
+        assert_eq!(
+            scaled_1d(&[i64::MAX / 2, i64::MAX / 2]).unwrap_err(),
+            HaarError::Overflow
+        );
+        // ... and in the pre-scale.
+        assert_eq!(
+            scaled_1d(&[i64::MAX / 2, 0, 0, 0]).unwrap_err(),
+            HaarError::Overflow
+        );
     }
 
     #[test]
     fn bad_shapes_rejected() {
-        assert_eq!(forward_scaled_1d(&[]).unwrap_err(), HaarError::Empty);
+        // An empty or non-power-of-two 1-D domain has no shape.
         assert_eq!(
-            forward_scaled_1d(&[1, 2, 3]).unwrap_err(),
+            scaled_1d(&[]).unwrap_err(),
+            HaarError::NotPowerOfTwo { len: 0 }
+        );
+        assert_eq!(
+            scaled_1d(&[1, 2, 3]).unwrap_err(),
             HaarError::NotPowerOfTwo { len: 3 }
+        );
+        let shape = NdShape::new(vec![4]).unwrap();
+        assert_eq!(
+            forward_scaled_nd(&shape, &[]).unwrap_err(),
+            HaarError::ShapeMismatch {
+                expected: 4,
+                actual: 0
+            }
         );
         let shape = NdShape::new(vec![2, 4]).unwrap();
         assert_eq!(
@@ -246,8 +172,7 @@ mod tests {
     #[test]
     fn halvings_always_exact() {
         // Odd inputs still produce exact integers thanks to the pre-scale.
-        let data = [1i64, 0, 0, 0, 0, 0, 0, 1];
-        let sc = forward_scaled_1d(&data).unwrap();
+        let sc = scaled_1d(&[1, 0, 0, 0, 0, 0, 0, 1]).unwrap();
         let f = crate::transform::forward(&[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]).unwrap();
         for (i, &c) in sc.coeffs.iter().enumerate() {
             assert_eq!(c as f64, f[i] * 8.0);
@@ -270,7 +195,8 @@ mod proptests {
             let n = 1usize << m;
             let data: Vec<i64> = vals.into_iter().take(n).collect();
             prop_assume!(data.len() == n);
-            let sc = forward_scaled_1d(&data).unwrap();
+            let sc = forward_scaled_nd(&NdShape::new(vec![n]).unwrap(), &data).unwrap();
+            prop_assert_eq!(sc.scale, i64::try_from(n).unwrap());
             let f: Vec<f64> = data.iter().map(|&v| v as f64).collect();
             let w = crate::transform::forward(&f).unwrap();
             for (i, &c) in sc.coeffs.iter().enumerate() {

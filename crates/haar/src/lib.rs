@@ -14,8 +14,14 @@
 //! * multi-dimensional Haar wavelets (§2.2): the **nonstandard**
 //!   decomposition with its error tree of `2^D - 1`-coefficient nodes and
 //!   `2^D` children per node (Figures 1(b) and 2) ([`nd`]);
-//! * integer-scaled transforms ([`int`]) backing the `(1+ε)` absolute-error
-//!   scheme of §3.2.2, which requires integral coefficients.
+//! * the integer-scaled transform ([`int`]) backing the `(1+ε)`
+//!   absolute-error scheme of §3.2.2, which requires integral
+//!   coefficients.
+//!
+//! All three transforms run one Haar cascade: the same strided pairwise
+//! step, with a float rule that halves before adding where a sum would
+//! overflow and a checked integer rule. Float transforms refuse `NaN` and
+//! infinite data ([`HaarError::NonFinite`]).
 //!
 //! Everything here is deterministic, allocation-conscious, and `O(N)` per
 //! transform. Domains must be powers of two (the setting of the paper);
@@ -31,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cascade;
 pub mod error;
 pub mod int;
 pub mod nd;

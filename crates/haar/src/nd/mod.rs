@@ -80,6 +80,17 @@ impl NdShape {
         self.sides.windows(2).all(|w| w[0] == w[1])
     }
 
+    /// Side and dimension count of a hypercube shape.
+    ///
+    /// # Errors
+    /// [`HaarError::UnequalSides`] unless all sides are equal.
+    pub(crate) fn cube(&self) -> Result<(usize, usize), HaarError> {
+        if !self.is_hypercube() {
+            return Err(HaarError::UnequalSides);
+        }
+        Ok((self.sides[0], self.ndims()))
+    }
+
     /// Row-major linear index of `coords` (last dimension fastest).
     ///
     /// # Panics

@@ -13,41 +13,25 @@
 //! contributes to data cell `x` inside its support hypercube with sign
 //! `Π_{k : b_k = 1} (+1 if x_k in the low half along dim k, else -1)` —
 //! exactly the quadrant-sign structure of Figure 1(b).
+//!
+//! The steps are the crate's one Haar cascade, which the 1-D and the
+//! integer-scaled transforms share.
 
-use super::{NdArray, NdShape};
-use crate::{log2_exact, HaarError};
+use super::NdArray;
+use crate::{cascade, HaarError};
 
 /// Computes the nonstandard Haar decomposition of `data`, returning the
 /// coefficient array (same shape).
 ///
 /// # Errors
 /// [`HaarError::UnequalSides`] unless the shape is a hypercube (all sides
-/// equal powers of two).
+/// equal powers of two), [`HaarError::NonFinite`] for a `NaN` or infinite
+/// cell.
 pub fn forward(data: &NdArray) -> Result<NdArray, HaarError> {
+    let (side, d) = data.shape().cube()?;
     let mut out = data.clone();
-    forward_in_place(&mut out)?;
+    cascade::forward_f64(out.data_mut(), side, d)?;
     Ok(out)
-}
-
-/// In-place nonstandard decomposition.
-///
-/// # Errors
-/// [`HaarError::UnequalSides`] unless the shape is a hypercube.
-pub fn forward_in_place(arr: &mut NdArray) -> Result<(), HaarError> {
-    if !arr.shape().is_hypercube() {
-        return Err(HaarError::UnequalSides);
-    }
-    let side = arr.shape().sides()[0];
-    let d = arr.shape().ndims();
-    let shape = arr.shape().clone();
-    let mut size = side;
-    while size > 1 {
-        for dim in 0..d {
-            step_along(arr.data_mut(), &shape, dim, size, Direction::Forward);
-        }
-        size /= 2;
-    }
-    Ok(())
 }
 
 /// Reconstructs the data array from nonstandard coefficients.
@@ -60,108 +44,20 @@ pub fn inverse(coeffs: &NdArray) -> Result<NdArray, HaarError> {
     Ok(out)
 }
 
-/// In-place inverse of [`forward_in_place`].
+/// In-place variant of [`inverse`].
 ///
 /// # Errors
 /// [`HaarError::UnequalSides`] unless the shape is a hypercube.
 pub fn inverse_in_place(arr: &mut NdArray) -> Result<(), HaarError> {
-    if !arr.shape().is_hypercube() {
-        return Err(HaarError::UnequalSides);
-    }
-    let side = arr.shape().sides()[0];
-    let d = arr.shape().ndims();
-    let shape = arr.shape().clone();
-    let levels = log2_exact(side);
-    for l in (0..levels).rev() {
-        let size = side >> l;
-        for dim in (0..d).rev() {
-            step_along(arr.data_mut(), &shape, dim, size, Direction::Inverse);
-        }
-    }
+    let (side, d) = arr.shape().cube()?;
+    cascade::inverse_f64(arr.data_mut(), side, d);
     Ok(())
-}
-
-#[derive(Clone, Copy)]
-enum Direction {
-    Forward,
-    Inverse,
-}
-
-/// Applies one pairwise Haar step (or its inverse) along `dim`, restricted
-/// to the box `[0, size)` in every dimension of the full array.
-///
-/// Forward: `(a, b) -> (avg, detail)` with `avg` stored in the low half and
-/// `detail` in the high half along `dim`. Inverse reverses this.
-fn step_along(data: &mut [f64], shape: &NdShape, dim: usize, size: usize, dir: Direction) {
-    let d = shape.ndims();
-    let half = size / 2;
-    // Stride of `dim` in the flat row-major buffer.
-    let mut stride = 1usize;
-    for k in (dim + 1)..d {
-        stride *= shape.sides()[k];
-    }
-    // Iterate over all positions in the box with coordinate 0..half along
-    // `dim` and 0..size along every other dim.
-    let mut coords = vec![0usize; d];
-    let mut scratch_lo = vec![0.0f64; half];
-    let mut scratch_hi = vec![0.0f64; half];
-    loop {
-        // Process the 1-D line through `coords` along `dim`.
-        let base = shape.linearize(&coords);
-        match dir {
-            Direction::Forward => {
-                for i in 0..half {
-                    let a = data[base + 2 * i * stride];
-                    let b = data[base + (2 * i + 1) * stride];
-                    scratch_lo[i] = (a + b) / 2.0;
-                    scratch_hi[i] = (a - b) / 2.0;
-                }
-            }
-            Direction::Inverse => {
-                for i in 0..half {
-                    let avg = data[base + i * stride];
-                    let detail = data[base + (half + i) * stride];
-                    scratch_lo[i] = avg + detail; // new low element (2i)
-                    scratch_hi[i] = avg - detail; // new high element (2i+1)
-                }
-            }
-        }
-        match dir {
-            Direction::Forward => {
-                for i in 0..half {
-                    data[base + i * stride] = scratch_lo[i];
-                    data[base + (half + i) * stride] = scratch_hi[i];
-                }
-            }
-            Direction::Inverse => {
-                for i in 0..half {
-                    data[base + 2 * i * stride] = scratch_lo[i];
-                    data[base + (2 * i + 1) * stride] = scratch_hi[i];
-                }
-            }
-        }
-        // Advance coords over all dims except `dim`, bounded by `size`.
-        let mut k = d;
-        loop {
-            if k == 0 {
-                return;
-            }
-            k -= 1;
-            if k == dim {
-                continue;
-            }
-            coords[k] += 1;
-            if coords[k] < size {
-                break;
-            }
-            coords[k] = 0;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nd::NdShape;
 
     fn arr2(side: usize, vals: Vec<f64>) -> NdArray {
         NdArray::new(NdShape::hypercube(side, 2).unwrap(), vals).unwrap()
@@ -221,12 +117,28 @@ mod tests {
     }
 
     #[test]
-    fn one_dimensional_case_matches_1d_transform() {
-        let vals = vec![2.0, 2.0, 0.0, 2.0, 3.0, 5.0, 4.0, 4.0];
-        let shape = NdShape::new(vec![8]).unwrap();
-        let w = forward(&NdArray::new(shape, vals.clone()).unwrap()).unwrap();
-        let w1d = crate::transform::forward(&vals).unwrap();
-        assert_eq!(w.data(), &w1d[..]);
+    fn cells_near_max_have_finite_coefficients() {
+        // [[MAX, -MAX], [MAX, 0]]: both steps of the one level have a
+        // pairwise sum past f64::MAX.
+        let max = f64::MAX;
+        let w = forward(&arr2(2, vec![max, -max, max, 0.0])).unwrap();
+        assert_eq!(
+            w.data(),
+            &[max / 4.0, max / 2.0 + max / 4.0, -max / 4.0, max / 4.0]
+        );
+        // The inverse is exact up to its 2·D·m roundings of values below MAX.
+        let back = inverse(&w).unwrap();
+        for (x, y) in back.data().iter().zip([max, -max, max, 0.0]) {
+            assert!((x - y).abs() <= 4.0 * f64::EPSILON * max, "{back:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_cells() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let w = forward(&arr2(2, vec![1.0, 2.0, bad, 4.0]));
+            assert_eq!(w.unwrap_err(), HaarError::NonFinite { index: 2 });
+        }
     }
 
     #[test]
@@ -286,9 +198,32 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::nd::NdShape;
     use proptest::prelude::*;
 
+    /// A 1-D vector of `2^m` values, some of them near `f64::MAX`.
+    fn line() -> impl Strategy<Value = Vec<f64>> {
+        (0u32..=7).prop_flat_map(|m| {
+            let value = prop_oneof![-1e6f64..1e6, Just(f64::MAX), Just(-f64::MAX)];
+            proptest::collection::vec(value, 1usize << m)
+        })
+    }
+
     proptest! {
+        /// The 1-D transform is the nonstandard one at D = 1, bit for bit,
+        /// forward and inverse.
+        #[test]
+        fn one_dimensional_case_matches_1d_transform(vals in line()) {
+            let shape = NdShape::new(vec![vals.len()]).unwrap();
+            let w = forward(&NdArray::new(shape, vals.clone()).unwrap()).unwrap();
+            let w1d = crate::transform::forward(&vals).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(w.data()), bits(&w1d));
+            let back = inverse(&w).unwrap();
+            let back1d = crate::transform::inverse(&w1d).unwrap();
+            prop_assert_eq!(bits(back.data()), bits(&back1d));
+        }
+
         #[test]
         fn roundtrip_2d(side_exp in 0u32..=4, seed_vals in proptest::collection::vec(-1e4f64..1e4, 256)) {
             let side = 1usize << side_exp;

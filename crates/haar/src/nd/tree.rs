@@ -87,10 +87,11 @@ impl ErrorTreeNd {
     /// nonstandard transform).
     ///
     /// # Errors
-    /// [`HaarError::UnequalSides`] unless the shape is a hypercube.
+    /// [`HaarError::UnequalSides`] unless the shape is a hypercube, and
+    /// [`HaarError::NonFinite`] for a `NaN` or infinite cell (the
+    /// solvers' arithmetic assumes finite data).
     pub fn from_data(data: &NdArray) -> Result<Self, HaarError> {
-        let coeffs = nonstandard::forward(data)?;
-        Self::from_coeffs(coeffs)
+        Self::from_coeffs(nonstandard::forward(data)?)
     }
 
     /// Wraps an existing nonstandard coefficient array.
@@ -98,11 +99,7 @@ impl ErrorTreeNd {
     /// # Errors
     /// [`HaarError::UnequalSides`] unless the shape is a hypercube.
     pub fn from_coeffs(coeffs: NdArray) -> Result<Self, HaarError> {
-        if !coeffs.shape().is_hypercube() {
-            return Err(HaarError::UnequalSides);
-        }
-        let side = coeffs.shape().sides()[0];
-        let d = coeffs.shape().ndims();
+        let (side, d) = coeffs.shape().cube()?;
         let m = log2_exact(side);
         Ok(Self { coeffs, side, m, d })
     }

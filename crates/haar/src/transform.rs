@@ -10,15 +10,17 @@
 //! `W_A = [11/4, -5/4, 1/2, 0, 0, -1, -1, 0]` — reproduced exactly by the
 //! unit tests below (f64 arithmetic on dyadic rationals is exact).
 
-use crate::{is_pow2, HaarError};
+use crate::{cascade, is_pow2, HaarError};
 
 /// Computes the unnormalized 1-D Haar wavelet transform of `data`.
 ///
 /// `data.len()` must be a non-zero power of two. Runs in `O(N)` time and
-/// allocates one scratch buffer of `N/2` values.
+/// allocates one scratch line of `N` values. This is the nonstandard
+/// cascade at `D = 1` ([`crate::nd::nonstandard`]).
 ///
 /// # Errors
-/// [`HaarError::Empty`] / [`HaarError::NotPowerOfTwo`] on bad input length.
+/// [`HaarError::Empty`] / [`HaarError::NotPowerOfTwo`] on bad input length,
+/// [`HaarError::NonFinite`] for a `NaN` or infinite value.
 ///
 /// # Examples
 /// ```
@@ -26,52 +28,10 @@ use crate::{is_pow2, HaarError};
 /// assert_eq!(w, vec![2.75, -1.25, 0.5, 0.0, 0.0, -1.0, -1.0, 0.0]);
 /// ```
 pub fn forward(data: &[f64]) -> Result<Vec<f64>, HaarError> {
-    if data.is_empty() {
-        return Err(HaarError::Empty);
-    }
-    if !is_pow2(data.len()) {
-        return Err(HaarError::NotPowerOfTwo { len: data.len() });
-    }
+    check_len(data.len())?;
     let mut out = data.to_vec();
-    forward_in_place(&mut out);
+    cascade::forward_f64(&mut out, data.len(), 1)?;
     Ok(out)
-}
-
-/// In-place variant of [`forward`]; `data.len()` must already be a power of
-/// two (checked by `debug_assert` only — intended for hot paths that have
-/// validated their shapes once).
-pub fn forward_in_place(data: &mut [f64]) {
-    debug_assert!(is_pow2(data.len()));
-    let n = data.len();
-    // Scratch holds averages in [..half] and details in [half..len] so that
-    // writes never alias reads of the current level.
-    let mut scratch = vec![0.0f64; n];
-    let mut len = n;
-    while len > 1 {
-        let half = len / 2;
-        for i in 0..half {
-            let a = data[2 * i];
-            let b = data[2 * i + 1];
-            scratch[i] = half_sum(a, b); // pairwise average
-            scratch[half + i] = half_sum(a, -b); // detail coefficient
-        }
-        data[..len].copy_from_slice(&scratch[..len]);
-        len = half;
-    }
-}
-
-/// `(a + b) / 2`, without overflow: when the sum leaves the finite range
-/// (two cells near `f64::MAX`) it is taken as `a/2 + b/2` instead, so
-/// finite data always has finite coefficients. A finite sum keeps the
-/// plain formula's bits.
-#[inline]
-fn half_sum(a: f64, b: f64) -> f64 {
-    let sum = a + b;
-    if sum.is_finite() {
-        sum / 2.0
-    } else {
-        a / 2.0 + b / 2.0
-    }
 }
 
 /// Reconstructs the original data array from an unnormalized Haar transform.
@@ -82,34 +42,27 @@ fn half_sum(a: f64, b: f64) -> f64 {
 /// # Errors
 /// [`HaarError::Empty`] / [`HaarError::NotPowerOfTwo`] on bad input length.
 pub fn inverse(coeffs: &[f64]) -> Result<Vec<f64>, HaarError> {
-    if coeffs.is_empty() {
-        return Err(HaarError::Empty);
-    }
-    if !is_pow2(coeffs.len()) {
-        return Err(HaarError::NotPowerOfTwo { len: coeffs.len() });
-    }
+    check_len(coeffs.len())?;
     let mut out = coeffs.to_vec();
     inverse_in_place(&mut out);
     Ok(out)
 }
 
-/// In-place variant of [`inverse`].
+/// In-place variant of [`inverse`]; `coeffs.len()` must already be a
+/// power of two (checked by `debug_assert` only).
 pub fn inverse_in_place(coeffs: &mut [f64]) {
     debug_assert!(is_pow2(coeffs.len()));
-    let n = coeffs.len();
-    let mut scratch = vec![0.0f64; n];
-    let mut len = 1usize;
-    while len < n {
-        // Averages occupy coeffs[..len], details coeffs[len..2*len].
-        for i in 0..len {
-            let avg = coeffs[i];
-            let detail = coeffs[len + i];
-            scratch[2 * i] = avg + detail;
-            scratch[2 * i + 1] = avg - detail;
-        }
-        coeffs[..2 * len].copy_from_slice(&scratch[..2 * len]);
-        len *= 2;
+    cascade::inverse_f64(coeffs, coeffs.len(), 1);
+}
+
+fn check_len(len: usize) -> Result<(), HaarError> {
+    if len == 0 {
+        return Err(HaarError::Empty);
     }
+    if !is_pow2(len) {
+        return Err(HaarError::NotPowerOfTwo { len });
+    }
+    Ok(())
 }
 
 /// Resolution level of coefficient `i` (paper §2.1): `level(c_0) = 0` and
@@ -176,7 +129,7 @@ mod tests {
     #[test]
     fn worked_example_intermediate_resolutions() {
         // The §2.1 table: averages per resolution and detail coefficients.
-        let mut data = EXAMPLE.to_vec();
+        let data = EXAMPLE.to_vec();
         let mut averages = Vec::new();
         let mut details = Vec::new();
         let mut cur = data.clone();
@@ -199,8 +152,7 @@ mod tests {
         assert_eq!(averages[2], vec![11.0 / 4.0]);
         assert_eq!(details[2], vec![-5.0 / 4.0]);
         // forward() must agree with the hand-rolled recursion.
-        forward_in_place(&mut data);
-        assert_eq!(data[0], 11.0 / 4.0);
+        assert_eq!(forward(&data).unwrap()[0], 11.0 / 4.0);
     }
 
     #[test]

@@ -78,9 +78,6 @@ impl ErrorTree1d {
     /// [`HaarError::NonFinite`] for a `NaN` or infinite value (the
     /// solvers' arithmetic assumes finite data).
     pub fn from_data(data: &[f64]) -> Result<Self, HaarError> {
-        if let Some(index) = data.iter().position(|v| !v.is_finite()) {
-            return Err(HaarError::NonFinite { index });
-        }
         Self::from_coeffs(transform::forward(data)?)
     }
 

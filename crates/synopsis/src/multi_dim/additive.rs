@@ -353,6 +353,38 @@ mod tests {
     }
 
     #[test]
+    fn cells_near_max_keep_finite_coefficients() {
+        // A pairwise sum of this cube passes f64::MAX at every level; the
+        // transform halves before adding instead of overflowing to inf.
+        let max = f64::MAX;
+        let data = [max, -max, max, 0.0];
+        let s = AdditiveScheme::new(&cube(2, 2, data.to_vec())).unwrap();
+        let coeffs = s.tree().coeffs().data();
+        assert!(coeffs.iter().all(|c| c.is_finite()), "{coeffs:?}");
+        // Keeping every coefficient reconstructs the cube up to the
+        // transform's rounding: 2·D·m roundings of values below MAX.
+        let r = s.run(4, ErrorMetric::absolute(), 0.1);
+        assert_eq!(r.synopsis.positions(), vec![0, 1, 2, 3]);
+        assert!(r.true_objective <= 4.0 * f64::EPSILON * max, "{r:?}");
+        let recon = r.synopsis.reconstruct();
+        assert!(recon.data().iter().all(|v| v.is_finite()), "{recon:?}");
+    }
+
+    #[test]
+    fn non_finite_cubes_are_refused() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for index in [0, 3] {
+                let mut vals = vec![1.0, 2.0, 3.0, 4.0];
+                vals[index] = bad;
+                let arr = cube(2, 2, vals);
+                let expected = HaarError::NonFinite { index };
+                assert_eq!(ErrorTreeNd::from_data(&arr).unwrap_err(), expected);
+                assert_eq!(AdditiveScheme::new(&arr).err(), Some(expected));
+            }
+        }
+    }
+
+    #[test]
     fn single_cell_domain() {
         let arr = cube(1, 2, vec![42.0]);
         let s = AdditiveScheme::new(&arr).unwrap();

@@ -13,19 +13,21 @@
 //! * [`store`] — the per-column state machine: batched ingest under
 //!   `wsyn-stream`'s rebuild policy, scratch-reusing builds, and the one
 //!   derivation of per-answer error intervals from `wsyn-aqp`.
-//! * [`shard`] — deterministic FNV-1a column routing and the worker
-//!   loop; per-column operations serialize lock-free through their one
-//!   owning shard.
-//! * [`server`] — the concurrent shell: accept loop, per-connection
-//!   handler threads, bounded shard queues.
+//! * [`shard`] — deterministic FNV-1a column routing and the request
+//!   handler; per-column operations serialize through their one owning
+//!   shard's lock.
+//! * [`server`] — the concurrent shell: accept loop and per-connection
+//!   handler threads, each running its requests under the owning
+//!   shard's lock.
 //! * [`client`] — a minimal blocking client, exposing raw response
 //!   bytes for identity checking.
 //!
 //! The determinism contract: answer *content* is a pure function of the
-//! per-column request order. Scheduling (shard interleaving, connection
-//! acceptance order) affects only *when* an answer is computed, never
-//! what it says — asserted byte-for-byte against cold library runs by
-//! the `server-identity` conformance family.
+//! per-column request order. Scheduling (which connection takes a
+//! shard's lock first, connection acceptance order) affects only *when*
+//! an answer is computed, never what it says — asserted byte-for-byte
+//! against cold library runs by the `server-identity` conformance
+//! family.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

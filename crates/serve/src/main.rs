@@ -11,14 +11,13 @@ const USAGE: &str = "\
 wsyn-serve — sharded multi-tenant wavelet-synopsis server
 
 USAGE:
-    wsyn-serve [--addr HOST:PORT] [--shards N] [--queue-depth N]
-               [--tolerance T] [--preload K:N]
+    wsyn-serve [--addr HOST:PORT] [--shards N] [--tolerance T]
+               [--preload K:N]
 
 OPTIONS:
     --addr HOST:PORT   Listen address (default 127.0.0.1:7878).
-    --shards N         Shard worker threads; 0 = workspace thread
-                       policy (default 0).
-    --queue-depth N    Bound on each shard's job queue (default 64).
+    --shards N         Column partitions, each behind one lock;
+                       0 = workspace thread policy (default 0).
     --tolerance T      Rebuild tolerance for batched updates, >= 1
                        (default 2).
     --preload K:N      Preload K zipf columns ('z0'..) of N values
@@ -59,7 +58,6 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             "--addr" => addr = value(i)?,
             "--shards" => config.shards = parse(&value(i)?, "--shards")?,
-            "--queue-depth" => config.queue_depth = parse(&value(i)?, "--queue-depth")?,
             "--tolerance" => config.tolerance = parse(&value(i)?, "--tolerance")?,
             "--preload" => {
                 let spec = value(i)?;

@@ -1,24 +1,22 @@
-//! Shard ownership: deterministic column routing and the per-shard
-//! worker loop.
+//! Shard ownership: deterministic column routing and the one request
+//! handler.
 //!
 //! Every column lives on exactly one shard, chosen by
 //! `FNV-1a(name) mod shards` ([`shard_of`]) — a pure function of the
 //! column name, so routing never depends on arrival order, connection
-//! identity, or hasher seeding. Each shard is one worker thread owning a
+//! identity, or hasher seeding. A shard is a
 //! `BTreeMap<String, AnyColumn>` (dynamic rebuild-policy columns and
-//! one-pass streaming columns side by side) and draining a bounded job
-//! queue; because
-//! a column's every operation flows through its one shard queue, per-
-//! column operations serialize without any lock on the hot path, while
-//! distinct columns on distinct shards proceed in parallel.
+//! one-pass streaming columns side by side) behind one lock that the
+//! server's connection threads take around [`handle`]; every operation
+//! on a column therefore serializes through that lock, while distinct
+//! columns on distinct shards proceed in parallel.
 //!
-//! The worker is deliberately oblivious to the network: it receives
-//! decoded [`Request`]s and sends back [`Response`]s through a per-job
-//! reply channel, which keeps the whole request → answer path unit-
-//! testable without a socket.
+//! [`handle`] is deliberately oblivious to the network and to locking:
+//! it maps a decoded [`Request`] and a column map to a [`Response`],
+//! which keeps the whole request → answer path unit-testable without a
+//! socket or a thread.
 
 use std::collections::BTreeMap;
-use std::sync::mpsc;
 
 use wsyn_core::json::Value;
 use wsyn_obs::{run_meta, Collector};
@@ -48,30 +46,6 @@ pub fn shard_of(name: &str, shards: usize) -> usize {
         return 0;
     }
     (fnv1a64(name.as_bytes()) % shards as u64) as usize
-}
-
-/// One unit of shard work: a decoded request plus the channel its
-/// response goes back on.
-#[derive(Debug)]
-pub struct Job {
-    /// The request to execute (always column-addressed; `Ping` and
-    /// `Shutdown` never reach a shard).
-    pub request: Request,
-    /// Where the response goes. A send failure means the connection
-    /// handler gave up (client disconnected mid-request); the worker
-    /// drops the response and moves on.
-    pub reply: mpsc::Sender<Response>,
-}
-
-/// The shard worker loop: drains `jobs` until every sender is dropped
-/// (server shutdown), executing each against the shard's own columns.
-pub fn run_worker(jobs: &mpsc::Receiver<Job>, tolerance: f64) {
-    let mut columns: BTreeMap<String, AnyColumn> = BTreeMap::new();
-    while let Ok(job) = jobs.recv() {
-        let response = handle(&mut columns, &job.request, tolerance);
-        // A dead reply channel is the client's problem, not the shard's.
-        let _ = job.reply.send(response);
-    }
 }
 
 /// Executes one column-addressed request against the shard's columns.

@@ -6,11 +6,11 @@
 //! persistent [`SolverScratch`]. Every build solves the column's current
 //! data with a fresh [`MinMaxErr`] (an O(N) transform beside the DP) and
 //! runs [`Thresholder::threshold_with_reusing`] with that scratch. The
-//! memo the DP fills belongs to the shard worker running the build and
-//! is reset at every run; the scratch records only the slot count the
-//! last run ended at, where the next one starts, so drift rebuilds skip
-//! the memo growth ramp while a column holds no table memory. No DP
-//! state carries over from one build to the next.
+//! memo the DP fills belongs to the connection thread running the
+//! build and is reset at every run; the scratch records only the slot
+//! count the last run ended at, where the next one starts, so drift
+//! rebuilds skip the memo growth ramp while a column holds no table
+//! memory. No DP state carries over from one build to the next.
 //!
 //! Point updates are *batched*: [`Column::enqueue`] validates and queues
 //! them (the cheap ack on the ingest path), and [`Column::drain`]
@@ -36,7 +36,7 @@
 use wsyn_aqp::{bounds, QueryEngine1d, StepEngine};
 use wsyn_haar::{is_pow2, HaarError};
 use wsyn_obs::Collector;
-use wsyn_stream::{check_update, RebuildPolicy, StreamingMaxErr};
+use wsyn_stream::{check_update, RebuildPolicy, StreamSketch};
 use wsyn_synopsis::family::{AUTO, HIST, MINMAX};
 use wsyn_synopsis::histogram::HistThresholder;
 use wsyn_synopsis::one_dim::MinMaxErr;
@@ -563,7 +563,7 @@ pub struct StreamBuilt {
 }
 
 /// A column in *streaming ingest mode*: `append` frames feed a one-pass
-/// [`StreamingMaxErr`] builder instead of point updates, and the synopsis finalizes automatically when the declared
+/// [`StreamSketch`] instead of point updates, and the synopsis finalizes automatically when the declared
 /// `n`-th item lands. Until then the column holds only the builder's
 /// poly(`B`, `log N`, `1/ε`) sketch — never the data.
 #[derive(Debug)]
@@ -572,7 +572,7 @@ pub struct StreamColumn {
     budget: usize,
     eps: f64,
     scale: f64,
-    builder: Option<StreamingMaxErr>,
+    builder: Option<StreamSketch>,
     built: Option<StreamBuilt>,
     /// A finalize failure (undersized scale) poisons the column: the
     /// one-pass data is gone, so the only recovery is a fresh
@@ -588,7 +588,7 @@ impl StreamColumn {
     /// or `scale`).
     pub fn new(n: usize, budget: usize, eps: f64, scale: f64) -> Result<StreamColumn, String> {
         let params = RunParams::new(budget, ErrorMetric::absolute()).eps(eps);
-        let builder = StreamingMaxErr::new(n, scale, &params).map_err(|e| e.to_string())?;
+        let builder = StreamSketch::new(n, scale, &params).map_err(|e| e.to_string())?;
         Ok(StreamColumn {
             n,
             budget,
@@ -682,7 +682,7 @@ impl StreamColumn {
         // Validated above, so the builder refuses only a block whose Haar
         // average or detail overflows. Items before it already went by,
         // so the column is poisoned.
-        if let Err(e) = builder.push_slice(values) {
+        if let Err(e) = builder.push_slice(values, obs) {
             let msg = e.to_string();
             self.failed = Some(msg.clone());
             drop(span);
@@ -694,7 +694,7 @@ impl StreamColumn {
             // is poisoned (the data went by and was never stored).
             // wsyn: allow(no-panic)
             let builder = self.builder.take().expect("builder present");
-            match builder.finalize() {
+            match builder.finalize(obs) {
                 Ok(run) => {
                     self.built = Some(StreamBuilt {
                         objective: run.objective,

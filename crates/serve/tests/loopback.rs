@@ -1,11 +1,20 @@
 //! End-to-end loopback tests: a real server on an ephemeral port, real
 //! sockets, answers compared bit-for-bit against library runs.
 
+use std::collections::BTreeMap;
+
 use wsyn_aqp::QueryEngine1d;
 use wsyn_core::json::Value;
-use wsyn_serve::{Client, QueryKind, Request, ServeConfig, Server};
+use wsyn_serve::shard::handle;
+use wsyn_serve::{AnyColumn, Client, QueryKind, Request, ServeConfig, Server};
 use wsyn_synopsis::one_dim::MinMaxErr;
 use wsyn_synopsis::ErrorMetric;
+
+// Connection threads move columns between them under the shard lock.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<AnyColumn>();
+};
 
 fn start(shards: usize) -> (String, std::thread::JoinHandle<Result<(), String>>) {
     let config = ServeConfig {
@@ -145,8 +154,8 @@ fn columns_spread_across_shards_and_answers_do_not_depend_on_shard_count() {
 }
 
 /// A budget beyond `u32` is an ordinary request: the build answers with
-/// the synopsis a budget of `N` gives, and the shard worker survives to
-/// serve the next column (one shard, so both columns share it).
+/// the synopsis a budget of `N` gives, and the shard keeps serving the
+/// next column (one shard, so both columns share it).
 #[test]
 fn oversized_budget_builds_and_the_shard_keeps_answering() {
     let (addr, handle) = start(1);
@@ -287,4 +296,113 @@ fn trace_reports_are_deterministic_and_untimed() {
 
     client.shutdown().expect("shutdown");
     handle.join().expect("join").expect("run");
+}
+
+/// The request script of one connection: put and build its own column,
+/// then rounds of update, flush and queries on it; with `shared`, every
+/// round also queries the read-only column `shared`.
+fn script(conn: usize, shared: bool) -> Vec<Request> {
+    let own = format!("own{conn}");
+    let query = |column: &str, k: usize| Request::Query {
+        column: column.to_string(),
+        kind: match k % 3 {
+            0 => QueryKind::Point(k % 64),
+            1 => QueryKind::RangeSum(k % 32, 32 + k % 32),
+            _ => QueryKind::RangeAvg(k % 16, 64 - k % 16),
+        },
+        trace: false,
+    };
+    let mut requests = vec![
+        Request::Put {
+            column: own.clone(),
+            data: data(64, 200 + conn as u64),
+        },
+        Request::Build {
+            column: own.clone(),
+            budget: 6,
+            metric: "abs".to_string(),
+            family: None,
+            trace: false,
+        },
+    ];
+    for round in 0..40 {
+        let k = conn * 7 + round;
+        requests.push(Request::Update {
+            column: own.clone(),
+            updates: vec![(k % 64, 3.5), ((k * 5) % 64, -1.25)],
+        });
+        if round % 3 == 0 {
+            requests.push(Request::Flush {
+                column: own.clone(),
+            });
+        }
+        requests.push(query(&own, k));
+        if shared {
+            requests.push(query("shared", k));
+        }
+    }
+    requests
+}
+
+/// Four connections on one shard interleave under its lock (a barrier
+/// releases them together); each one's answer bytes must equal a serial
+/// `shard::handle` replay of its column's requests, so the interleaving
+/// changed nothing they say.
+#[test]
+fn concurrent_connections_on_one_shard_match_a_serial_replay() {
+    let (addr, server) = start(1);
+    let shared_setup = vec![
+        Request::Put {
+            column: "shared".to_string(),
+            data: data(64, 300),
+        },
+        Request::Build {
+            column: "shared".to_string(),
+            budget: 8,
+            metric: "abs".to_string(),
+            family: None,
+            trace: false,
+        },
+    ];
+    let mut setup = Client::connect(&addr).expect("connect");
+    for request in &shared_setup {
+        let response = setup.request(request).expect("setup");
+        assert!(response.is_ok(), "{response:?}");
+    }
+    let scripts: Vec<Vec<Request>> = (0..4).map(|conn| script(conn, conn < 2)).collect();
+    let start_together = std::sync::Barrier::new(scripts.len());
+    let answers: Vec<Vec<Vec<u8>>> = std::thread::scope(|s| {
+        let threads: Vec<_> = scripts
+            .iter()
+            .map(|requests| {
+                let (addr, start_together) = (&addr, &start_together);
+                s.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    start_together.wait();
+                    requests
+                        .iter()
+                        .map(|r| client.request_raw(r).expect("answer"))
+                        .collect()
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    setup.shutdown().expect("shutdown");
+    server.join().expect("join").expect("run");
+
+    for (conn, (requests, wire)) in scripts.iter().zip(&answers).enumerate() {
+        let mut columns: BTreeMap<String, AnyColumn> = BTreeMap::new();
+        for request in &shared_setup {
+            handle(&mut columns, request, 2.0);
+        }
+        for (k, (request, bytes)) in requests.iter().zip(wire).enumerate() {
+            let replay = handle(&mut columns, request, 2.0).to_bytes();
+            assert_eq!(
+                &replay,
+                bytes,
+                "connection {conn}, request {k} ({request:?}): wire answer differs from the serial replay"
+            );
+        }
+    }
 }

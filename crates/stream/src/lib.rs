@@ -25,7 +25,9 @@
 //!   [`streaming`] for the algorithm, drift accounting, and proof
 //!   sketch), plus [`StreamMaxErr`], its offline
 //!   [`Thresholder`](wsyn_synopsis::Thresholder) adapter behind
-//!   `wsyn build --algo stream`.
+//!   `wsyn build --algo stream`. Its state is a [`StreamSketch`] that
+//!   takes each call's collector instead of storing one, so an owner
+//!   that crosses threads (a server column) can hold it.
 //!
 //! The O(N)-space coefficient maintenance is exact; MVW's
 //! probabilistic-counting trick for sublinear space is out of scope
@@ -40,7 +42,7 @@ use wsyn_synopsis::ErrorMetric;
 
 pub mod streaming;
 
-pub use streaming::{StreamMaxErr, StreamRun, StreamingMaxErr};
+pub use streaming::{StreamMaxErr, StreamRun, StreamSketch, StreamingMaxErr};
 
 /// Registry descriptor for the streaming family, for assembly into the
 /// canonical synopsis-family registry (`wsyn_serve::registry`).

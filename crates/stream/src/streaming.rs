@@ -62,8 +62,8 @@
 //! spans at most `2B − 1` nodes, so the store is `O(B² · log²(N) / ε)`
 //! nodes in the worst case (sharing keeps it far smaller in practice),
 //! independent of `N` beyond the `log` factors. The builder counts its
-//! own peak working set ([`StreamingMaxErr::peak_cells`],
-//! [`StreamingMaxErr::peak_bytes`]) so tests can assert sublinearity
+//! own peak working set ([`StreamSketch::peak_cells`],
+//! [`StreamSketch::peak_bytes`]) so tests can assert sublinearity
 //! instead of trusting the analysis.
 
 use wsyn_core::{is_zero, narrow_u32, DpStats, WsynError};
@@ -338,26 +338,16 @@ pub struct StreamRun {
     pub peak_bytes: usize,
 }
 
-/// One-pass streaming B-term max-absolute-error builder (module docs
-/// give the algorithm, guarantee, and space accounting).
-///
-/// ```
-/// use wsyn_stream::StreamingMaxErr;
-/// use wsyn_synopsis::{ErrorMetric, RunParams};
-///
-/// let data = [2.0, 2.0, 0.0, 2.0, 3.0, 5.0, 4.0, 4.0];
-/// let scale = 5.0; // any upper bound on the offline optimum
-/// let params = RunParams::new(2, ErrorMetric::absolute()).eps(0.25);
-/// let mut b = StreamingMaxErr::new(data.len(), scale, &params).unwrap();
-/// for &v in &data {
-///     b.push(v).unwrap();
-/// }
-/// let run = b.finalize().unwrap();
-/// assert!(run.synopsis.len() <= 2);
-/// assert!(run.synopsis.max_error(&data, ErrorMetric::absolute()) <= run.objective + 1e-9);
-/// ```
+/// The state of a one-pass build ([`StreamingMaxErr`]) without a
+/// collector: every method that records observability takes the
+/// [`Collector`] as an argument instead of storing one. A collector is
+/// `!Send` (DESIGN §11) while the sketch is `Send`, so a long-lived owner
+/// that moves between threads (a server column) holds the sketch and
+/// passes each call's collector; one-shot callers use
+/// [`StreamingMaxErr`], which stores the collector its [`RunParams`]
+/// carried and delegates here.
 #[derive(Debug)]
-pub struct StreamingMaxErr {
+pub struct StreamSketch {
     n: usize,
     levels: u32,
     budget: usize,
@@ -380,18 +370,17 @@ pub struct StreamingMaxErr {
     stats: DpStats,
     peak_cells: usize,
     peak_bytes: usize,
-    obs: Collector,
 }
 
-impl StreamingMaxErr {
-    /// Creates a builder for a stream of exactly `n` items.
+impl StreamSketch {
+    /// Creates a sketch for a stream of exactly `n` items.
     ///
     /// `scale` must upper-bound the offline optimum for the approximation
     /// guarantee to hold (`max |d_i|` always works: the empty synopsis
     /// achieves it). A scale that is *too small* never yields a wrong
     /// answer — the DP goes infeasible and `finalize` reports an error.
-    /// `params` supplies the budget `B`, the quantization `eps`
-    /// (`params.eps`), and the observability collector.
+    /// `params` supplies the budget `B` and the quantization `eps`
+    /// (`params.eps`); its collector is not kept.
     ///
     /// # Errors
     /// [`WsynError::Unsupported`] for a relative metric (the streaming
@@ -401,7 +390,7 @@ impl StreamingMaxErr {
     /// non-positive or non-finite `eps`, a negative or non-finite
     /// `scale`, or an `eps` so small that one table of
     /// `(min(B, N) + 1)·(2Q + 1)` cells cannot be addressed.
-    pub fn new(n: usize, scale: f64, params: &RunParams) -> Result<StreamingMaxErr, WsynError> {
+    pub fn new(n: usize, scale: f64, params: &RunParams) -> Result<StreamSketch, WsynError> {
         match params.metric {
             ErrorMetric::Absolute => {}
             ErrorMetric::Relative { .. } => {
@@ -460,7 +449,7 @@ impl StreamingMaxErr {
                 params.eps
             )));
         };
-        Ok(StreamingMaxErr {
+        Ok(StreamSketch {
             n,
             levels,
             budget: params.budget,
@@ -477,7 +466,6 @@ impl StreamingMaxErr {
             stats: DpStats::default(),
             peak_cells: 0,
             peak_bytes: 0,
-            obs: params.obs.clone(),
         })
     }
 
@@ -537,7 +525,7 @@ impl StreamingMaxErr {
         self.peak_bytes
     }
 
-    /// The documented worst-case bound on [`StreamingMaxErr::peak_cells`]:
+    /// The documented worst-case bound on [`StreamSketch::peak_cells`]:
     /// at most one live table per level plus one in flight, each at most
     /// `(B + 1) × (2Q + 1)` cells. Independent of `N` beyond the
     /// `log2 N` factor — the sublinearity witness tests assert against.
@@ -555,7 +543,7 @@ impl StreamingMaxErr {
     /// value is not finite, or it completes a block whose Haar average or
     /// detail overflows. An overflow poisons the builder: every later
     /// `push` and `finalize` returns the same error.
-    pub fn push(&mut self, value: f64) -> Result<(), WsynError> {
+    pub fn push(&mut self, value: f64, obs: &Collector) -> Result<(), WsynError> {
         if let Some(err) = &self.failed {
             return Err(err.clone());
         }
@@ -571,7 +559,6 @@ impl StreamingMaxErr {
                 self.pushed
             )));
         }
-        let obs = self.obs.clone();
         let _guard = obs.span("stream_push");
         obs.add("stream_items", 1);
         self.pushed += 1;
@@ -583,7 +570,7 @@ impl StreamingMaxErr {
         while self.stack.len() >= 2
             && self.stack[self.stack.len() - 1].height == self.stack[self.stack.len() - 2].height
         {
-            if let Err(err) = self.merge_top() {
+            if let Err(err) = self.merge_top(obs) {
                 self.failed = Some(err.clone());
                 return Err(err);
             }
@@ -594,10 +581,10 @@ impl StreamingMaxErr {
     /// Consumes a batch of items in order.
     ///
     /// # Errors
-    /// Same conditions as [`StreamingMaxErr::push`].
-    pub fn push_slice(&mut self, values: &[f64]) -> Result<(), WsynError> {
+    /// Same conditions as [`StreamSketch::push`].
+    pub fn push_slice(&mut self, values: &[f64], obs: &Collector) -> Result<(), WsynError> {
         for &v in values {
-            self.push(v)?;
+            self.push(v, obs)?;
         }
         Ok(())
     }
@@ -608,8 +595,8 @@ impl StreamingMaxErr {
     /// [`WsynError::Invalid`] when the merged block's average or detail
     /// coefficient overflows to a non-finite value (finite items near
     /// `f64::MAX`): no certificate over such a coefficient is sound.
-    fn merge_top(&mut self) -> Result<(), WsynError> {
-        self.obs.add("stream_merges", 1);
+    fn merge_top(&mut self, obs: &Collector) -> Result<(), WsynError> {
+        obs.add("stream_merges", 1);
         // `push` guarantees two equal-height entries are on top.
         // wsyn: allow(no-panic)
         let right = self.stack.pop().expect("merge needs two entries");
@@ -636,16 +623,17 @@ impl StreamingMaxErr {
                 c,
             },
             (Repr::VNode { j: jl, c: cl }, Repr::VNode { j: jr, c: cr }) => {
-                let table = self.build_base_table(j, c, (jl, cl), (jr, cr));
-                self.note_peak(table.cells(), table.bytes());
+                let table = self.build_base_table(j, c, (jl, cl), (jr, cr), obs);
+                self.note_peak(table.cells(), table.bytes(), obs);
                 Repr::Table(table)
             }
             (Repr::Table(l), Repr::Table(r)) => {
-                let table = self.merge_tables(height, j, c, &l, &r);
+                let table = self.merge_tables(height, j, c, &l, &r, obs);
                 // Children are still resident here — the honest peak.
                 self.note_peak(
                     table.cells() + l.cells() + r.cells(),
                     table.bytes() + l.bytes() + r.bytes(),
+                    obs,
                 );
                 self.sets.release_table(&l);
                 self.sets.release_table(&r);
@@ -664,7 +652,7 @@ impl StreamingMaxErr {
 
     /// Records a peak candidate: `extra` cells/bytes beyond what the
     /// frontier stack and the shared set store currently hold.
-    fn note_peak(&mut self, extra_cells: usize, extra_bytes: usize) {
+    fn note_peak(&mut self, extra_cells: usize, extra_bytes: usize, obs: &Collector) {
         let mut cells = extra_cells;
         let mut bytes = extra_bytes
             + self.sets.bytes()
@@ -677,7 +665,7 @@ impl StreamingMaxErr {
         }
         self.peak_cells = self.peak_cells.max(cells);
         self.peak_bytes = self.peak_bytes.max(bytes);
-        self.obs.gauge_max("stream_peak_cells", self.peak_cells);
+        obs.gauge_max("stream_peak_cells", self.peak_cells);
     }
 
     fn take_table(&mut self, b_cap: usize) -> Box<Table> {
@@ -716,8 +704,9 @@ impl StreamingMaxErr {
         c: f64,
         left: (u32, f64),
         right: (u32, f64),
+        obs: &Collector,
     ) -> Box<Table> {
-        self.obs.add("stream_tables", 1);
+        obs.add("stream_tables", 1);
         let (jl, cl) = left;
         let (jr, cr) = right;
         let node = Height2 {
@@ -772,8 +761,16 @@ impl StreamingMaxErr {
     /// columns at the rounded `e + c` and `e - c`. A kept cell's set is
     /// one new node over the children's sets; a dropped cell's set joins
     /// them ([`SetStore::join`]).
-    fn merge_tables(&mut self, height: u32, j: usize, c: f64, l: &Table, r: &Table) -> Box<Table> {
-        self.obs.add("stream_tables", 1);
+    fn merge_tables(
+        &mut self,
+        height: u32,
+        j: usize,
+        c: f64,
+        l: &Table,
+        r: &Table,
+        obs: &Collector,
+    ) -> Box<Table> {
+        obs.add("stream_tables", 1);
         // `best_splits` needs every child column non-increasing in budget.
         debug_assert!(l.non_increasing() && r.non_increasing());
         let sub_coeffs = if height >= 32 {
@@ -848,7 +845,7 @@ impl StreamingMaxErr {
     /// [`WsynError::Invalid`] when the stream is incomplete, a `push`
     /// was refused for overflow, or the DP is infeasible (the declared
     /// `scale` was smaller than the optimum).
-    pub fn finalize(mut self) -> Result<StreamRun, WsynError> {
+    pub fn finalize(mut self, obs: &Collector) -> Result<StreamRun, WsynError> {
         if let Some(err) = self.failed {
             return Err(err);
         }
@@ -858,7 +855,6 @@ impl StreamingMaxErr {
                 self.pushed, self.n
             )));
         }
-        let obs = self.obs.clone();
         let guard = obs.span("stream_finalize");
         // A complete stream leaves exactly the height-m root pending.
         // wsyn: allow(no-panic)
@@ -958,6 +954,130 @@ impl StreamingMaxErr {
             peak_cells: self.peak_cells,
             peak_bytes: self.peak_bytes,
         })
+    }
+}
+
+/// One-pass streaming B-term max-absolute-error builder (module docs
+/// give the algorithm, guarantee, and space accounting): a
+/// [`StreamSketch`] plus the collector its [`RunParams`] carried, which
+/// every push and the finalize record into.
+///
+/// ```
+/// use wsyn_stream::StreamingMaxErr;
+/// use wsyn_synopsis::{ErrorMetric, RunParams};
+///
+/// let data = [2.0, 2.0, 0.0, 2.0, 3.0, 5.0, 4.0, 4.0];
+/// let scale = 5.0; // any upper bound on the offline optimum
+/// let params = RunParams::new(2, ErrorMetric::absolute()).eps(0.25);
+/// let mut b = StreamingMaxErr::new(data.len(), scale, &params).unwrap();
+/// for &v in &data {
+///     b.push(v).unwrap();
+/// }
+/// let run = b.finalize().unwrap();
+/// assert!(run.synopsis.len() <= 2);
+/// assert!(run.synopsis.max_error(&data, ErrorMetric::absolute()) <= run.objective + 1e-9);
+/// ```
+#[derive(Debug)]
+pub struct StreamingMaxErr {
+    sketch: StreamSketch,
+    obs: Collector,
+}
+
+impl StreamingMaxErr {
+    /// Creates a builder for a stream of exactly `n` items that records
+    /// into `params.obs`.
+    ///
+    /// # Errors
+    /// Those of [`StreamSketch::new`].
+    pub fn new(n: usize, scale: f64, params: &RunParams) -> Result<StreamingMaxErr, WsynError> {
+        Ok(StreamingMaxErr {
+            sketch: StreamSketch::new(n, scale, params)?,
+            obs: params.obs.clone(),
+        })
+    }
+
+    /// Declared stream length `N`.
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.sketch.n()
+    }
+
+    /// Items consumed so far.
+    #[must_use]
+    pub fn pushed(&self) -> usize {
+        self.sketch.pushed()
+    }
+
+    /// Whether all `N` items have arrived.
+    #[must_use]
+    pub fn is_complete(&self) -> bool {
+        self.sketch.is_complete()
+    }
+
+    /// The budget `B`.
+    #[must_use]
+    pub fn budget(&self) -> usize {
+        self.sketch.budget()
+    }
+
+    /// The approximation knob `ε` the run was configured with.
+    #[must_use]
+    pub fn eps(&self) -> f64 {
+        self.sketch.eps()
+    }
+
+    /// The quantization step `δ`.
+    #[must_use]
+    pub fn delta(&self) -> f64 {
+        self.sketch.delta()
+    }
+
+    /// The grid radius `Q` (grid indices span `-Q..=Q`).
+    #[must_use]
+    pub fn q_radius(&self) -> usize {
+        self.sketch.q_radius()
+    }
+
+    /// Peak number of simultaneously live DP cells so far.
+    #[must_use]
+    pub fn peak_cells(&self) -> usize {
+        self.sketch.peak_cells()
+    }
+
+    /// Peak resident sketch bytes so far.
+    #[must_use]
+    pub fn peak_bytes(&self) -> usize {
+        self.sketch.peak_bytes()
+    }
+
+    /// See [`StreamSketch::state_bound_cells`].
+    #[must_use]
+    pub fn state_bound_cells(&self) -> usize {
+        self.sketch.state_bound_cells()
+    }
+
+    /// Consumes the next item ([`StreamSketch::push`]).
+    ///
+    /// # Errors
+    /// Those of [`StreamSketch::push`].
+    pub fn push(&mut self, value: f64) -> Result<(), WsynError> {
+        self.sketch.push(value, &self.obs)
+    }
+
+    /// Consumes a batch of items in order ([`StreamSketch::push_slice`]).
+    ///
+    /// # Errors
+    /// Those of [`StreamSketch::push`].
+    pub fn push_slice(&mut self, values: &[f64]) -> Result<(), WsynError> {
+        self.sketch.push_slice(values, &self.obs)
+    }
+
+    /// Finalizes the pass ([`StreamSketch::finalize`]).
+    ///
+    /// # Errors
+    /// Those of [`StreamSketch::finalize`].
+    pub fn finalize(self) -> Result<StreamRun, WsynError> {
+        self.sketch.finalize(&self.obs)
     }
 }
 
@@ -1181,7 +1301,7 @@ mod tests {
         // stack never outgrows its initial capacity.
         let bound_bytes = bound * (CELL_BYTES + (2 * builder.budget() - 1) * (NODE_BYTES + 4))
             + NODE_BYTES
-            + builder.stack.capacity() * std::mem::size_of::<Pending>();
+            + builder.sketch.stack.capacity() * std::mem::size_of::<Pending>();
         builder.push_slice(&data).unwrap();
         let run = builder.finalize().unwrap();
         assert!(

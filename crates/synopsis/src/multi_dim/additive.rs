@@ -29,6 +29,12 @@ use crate::synopsis::SynopsisNd;
 
 /// Rounds `v` down (towards `-∞`) to the nearest value in
 /// `{0} ∪ {±(1+eps)^k : k ≥ 0}` — the paper's `round_ε`.
+///
+/// A negative `v` whose grid point below it, `-(1+eps)^⌈l⌉`, overflows
+/// past `-f64::MAX` rounds to `-f64::MAX` instead of `-inf`. That value
+/// is still `≤ v`, and it is within an ε-factor of `v`: the overflowed
+/// grid point lies below `-f64::MAX` yet within a factor `1+eps` of `v`,
+/// so `f64::MAX ≤ (1+eps)·|v|`. Every finite grid value keeps its bits.
 pub fn round_eps(v: f64, eps: f64) -> f64 {
     debug_assert!(eps > 0.0);
     let a = v.abs();
@@ -37,13 +43,14 @@ pub fn round_eps(v: f64, eps: f64) -> f64 {
     }
     let l = a.ln() / (1.0 + eps).ln();
     // Float→int casts saturate at i32 bounds, where (1+eps)^k has long
-    // since overflowed to ±inf — exactly the intended degradation.
+    // since overflowed to ±inf; the negative branch saturates at
+    // `-f64::MAX` (see above).
     if v > 0.0 {
         // wsyn: allow(lossy-cast)
         (1.0 + eps).powi(l.floor() as i32)
     } else {
         // wsyn: allow(lossy-cast)
-        -(1.0 + eps).powi(l.ceil() as i32)
+        (-(1.0 + eps).powi(l.ceil() as i32)).max(-f64::MAX)
     }
 }
 
@@ -220,6 +227,22 @@ mod tests {
             let v = if negative == 1 { -mag } else { mag };
             proptest::prop_assert_eq!(round_eps(v, eps), 0.0);
         }
+    }
+
+    /// Near `-f64::MAX` the grid point below `v` overflows; the rounding
+    /// saturates at `-f64::MAX` instead of `-inf`, so the 1-D cube
+    /// `[MAX, -MAX, MAX, 0]` keeps a finite DP objective at budget 0.
+    #[test]
+    fn round_eps_saturates_at_negative_max() {
+        let r = round_eps(-f64::MAX, 0.1);
+        assert_eq!(r, -f64::MAX);
+        let max = f64::MAX;
+        let arr = cube(4, 1, vec![max, -max, max, 0.0]);
+        let run = AdditiveScheme::new(&arr)
+            .unwrap()
+            .run(0, ErrorMetric::absolute(), 0.1);
+        assert!(run.dp_objective.is_finite(), "{}", run.dp_objective);
+        assert!(run.true_objective.is_finite(), "{}", run.true_objective);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! A synopsis built by the deterministic algorithms carries a *guaranteed*
 //! maximum error (the DP objective). Unlike L2 or probabilistic synopses,
-//! this lets the query engine hand every individual answer an interval the
-//! true value provably lies in — the paper's headline motivation for
-//! maximum-error metrics.
+//! this lets every individual answer carry an interval the true value
+//! provably lies in — the paper's headline motivation for maximum-error
+//! metrics.
 
 /// A closed interval `[lo, hi]` guaranteed to contain the true value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -165,10 +165,9 @@ mod tests {
         let data: Vec<f64> = (0..16).map(|i| f64::from(i % 4) * 3.0).collect();
         let solver = MinMaxErr::new(&data).unwrap();
         let r = solver.run(4, ErrorMetric::absolute());
-        let engine = crate::QueryEngine1d::new(r.synopsis.clone());
         for lo in 0..16 {
             for hi in lo..=16 {
-                let est = engine.range_sum(lo..hi);
+                let est = r.synopsis.range_sum(lo..hi);
                 let exact: f64 = data[lo..hi].iter().sum();
                 let iv = range_sum_absolute(est, r.objective, hi - lo);
                 assert!(iv.contains(exact), "[{lo},{hi}): {iv:?} vs {exact}");

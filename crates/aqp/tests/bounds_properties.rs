@@ -15,7 +15,6 @@ use std::ops::Range;
 
 use proptest::prelude::*;
 use wsyn_aqp::bounds::{point_absolute, point_relative, range_sum_absolute};
-use wsyn_aqp::{QueryEngine1d, StepEngine};
 use wsyn_synopsis::one_dim::MinMaxErr;
 use wsyn_synopsis::ErrorMetric;
 
@@ -47,13 +46,12 @@ struct Solved {
 fn solve_both(data: &[f64], b: usize, metric: ErrorMetric) -> Vec<Solved> {
     let wavelet = {
         let r = MinMaxErr::new(data).unwrap().run(b, metric);
-        let engine = QueryEngine1d::new(r.synopsis.clone());
         Solved {
             family: "minmax",
             recon: r.synopsis.reconstruct(),
             objective: r.objective,
             relative_slack: 0.0,
-            range_sum: Box::new(move |range| engine.range_sum(range)),
+            range_sum: Box::new(move |range| r.synopsis.range_sum(range)),
         }
     };
     let hist = {
@@ -63,13 +61,12 @@ fn solve_both(data: &[f64], b: usize, metric: ErrorMetric) -> Vec<Solved> {
         };
         let r =
             wsyn_hist::solve(data, denoms.as_deref(), b, wsyn_hist::SplitStrategy::Binary).unwrap();
-        let engine = StepEngine::new(r.synopsis.clone());
         Solved {
             family: "hist",
             recon: r.synopsis.reconstruct(),
             objective: r.objective,
             relative_slack: 1e-9,
-            range_sum: Box::new(move |range| engine.range_sum(range)),
+            range_sum: Box::new(move |range| r.synopsis.range_sum(range)),
         }
     };
     vec![wavelet, hist]

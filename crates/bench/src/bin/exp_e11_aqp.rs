@@ -7,7 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wsyn_aqp::{bounds, QueryEngine1d};
+use wsyn_aqp::bounds;
 use wsyn_bench::{f, md_table};
 use wsyn_datagen::{zipf, ZipfPlacement};
 use wsyn_haar::ErrorTree1d;
@@ -59,12 +59,11 @@ fn main() {
         ("greedy-L2", l2),
         ("MinRelVar draw", prob),
     ] {
-        let engine = QueryEngine1d::new(syn);
         let errs: Vec<f64> = queries
             .iter()
             .map(|&(lo, hi)| {
                 let exact: f64 = data[lo..hi].iter().sum();
-                let est = engine.range_sum(lo..hi);
+                let est = syn.range_sum(lo..hi);
                 (est - exact).abs() / exact.max(1.0)
             })
             .collect();
@@ -79,10 +78,9 @@ fn main() {
     md_table(&["synopsis", "median rel err", "p90", "p99", "max"], &rows);
 
     // Deterministic guarantees: every point interval contains the truth.
-    let engine = QueryEngine1d::new(det.synopsis.clone());
     let mut violations = 0usize;
     for (i, &d) in data.iter().enumerate() {
-        let iv = bounds::point_relative(engine.point(i), det.objective, sanity);
+        let iv = bounds::point_relative(det.synopsis.point(i), det.objective, sanity);
         if !iv.contains(d) {
             violations += 1;
         }
@@ -92,12 +90,14 @@ fn main() {
     println!("every true value inside its guaranteed interval  ✓");
 
     // Absolute-mode range-sum intervals.
-    let engine_abs = QueryEngine1d::new(det_abs.synopsis.clone());
     let mut violations = 0usize;
     for &(lo, hi) in &queries {
         let exact: f64 = data[lo..hi].iter().sum();
-        let iv =
-            bounds::range_sum_absolute(engine_abs.range_sum(lo..hi), det_abs.objective, hi - lo);
+        let iv = bounds::range_sum_absolute(
+            det_abs.synopsis.range_sum(lo..hi),
+            det_abs.objective,
+            hi - lo,
+        );
         if !iv.contains(exact) {
             violations += 1;
         }

@@ -55,11 +55,7 @@ fn main() {
         adaptive.drain(&obs).unwrap();
         let static_err = static_syn.max_error(&current, metric);
         let engine = &adaptive.built().unwrap().engine;
-        let adaptive_err = engine
-            .as_wavelet()
-            .unwrap()
-            .synopsis()
-            .max_error(&current, metric);
+        let adaptive_err = engine.as_wavelet().unwrap().max_error(&current, metric);
         let fresh = MinMaxErr::new(&current).unwrap().run(b, metric).objective;
         rebuild_errs.push(((k + 1) * 500, static_err, adaptive_err, fresh));
     }

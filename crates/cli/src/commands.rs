@@ -3,17 +3,16 @@
 
 use std::io::Write;
 
-use wsyn_aqp::{QueryEngine1d, StepEngine};
+use wsyn_aqp::AnySynopsis1d;
 use wsyn_datagen as datagen;
 use wsyn_haar::transform;
 use wsyn_obs::Collector;
-use wsyn_serve::BuiltEngine;
 use wsyn_synopsis::family::{GuaranteeKind, MetricSupport};
 use wsyn_synopsis::thresholder::RunParams;
-use wsyn_synopsis::{rmse, AnySynopsis, ErrorMetric};
+use wsyn_synopsis::{rmse, ErrorMetric};
 
 use crate::args::Args;
-use crate::io::{self, SynopsisDoc, SynopsisPayload};
+use crate::io::{self, unit, SynopsisDoc};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -165,18 +164,14 @@ fn build(a: &Args, stdout: &mut dyn Write) -> Result<(), String> {
     let run = thresholder
         .threshold_with(&params)
         .map_err(|e| e.to_string())?;
-    let payload = match run.synopsis {
-        AnySynopsis::One(s) => SynopsisPayload::Wavelet(s),
-        AnySynopsis::Histogram(s) => SynopsisPayload::Histogram(s),
-        _ => return Err("the CLI builds 1-D synopses only".into()),
-    };
+    let payload = AnySynopsis1d::try_from(run.synopsis).map_err(|e| e.to_string())?;
     if thresholder.has_guarantee() {
         outln!(
             stdout,
             "{}: retained {} {}, guaranteed max error {:.6}",
             thresholder.name(),
             payload.len(),
-            payload.unit(),
+            unit(&payload),
             run.objective
         )?;
         if let (ErrorMetric::Relative { sanity }, true) = (metric, run.objective >= 1.0 - 1e-12) {
@@ -194,7 +189,7 @@ fn build(a: &Args, stdout: &mut dyn Write) -> Result<(), String> {
             "{}: retained {} {}, measured max error {:.6} (no guarantee)",
             thresholder.name(),
             payload.len(),
-            payload.unit(),
+            unit(&payload),
             run.objective
         )?;
     }
@@ -237,7 +232,7 @@ fn eval(a: &Args, out: &mut dyn Write) -> Result<(), String> {
     let metric = ErrorMetric::parse(&metric_spec).map_err(|e| e.to_string())?;
     let recon = doc.payload.reconstruct();
     outln!(out, "algorithm          : {}", doc.algorithm)?;
-    outln!(out, "{:<19}: {}", doc.payload.unit(), doc.payload.len())?;
+    outln!(out, "{:<19}: {}", unit(&doc.payload), doc.payload.len())?;
     if doc.payload.is_empty() {
         outln!(
             out,
@@ -365,10 +360,6 @@ fn query(a: &Args, out: &mut dyn Write) -> Result<(), String> {
     a.ensure_known(&["synopsis"])?;
     let doc = io::read_synopsis(a.req("synopsis")?)?;
     let kind = parse_query(&a.positional, doc.payload.n())?;
-    let engine = match &doc.payload {
-        SynopsisPayload::Wavelet(s) => BuiltEngine::Wavelet(QueryEngine1d::new(s.clone())),
-        SynopsisPayload::Histogram(s) => BuiltEngine::Hist(StepEngine::new(s.clone())),
-    };
     // A document without a guarantee answers under an infinite one, and
     // its interval is not printed.
     let guarantee = match (doc.objective, doc.metric.as_deref()) {
@@ -379,7 +370,7 @@ fn query(a: &Args, out: &mut dyn Write) -> Result<(), String> {
         _ => None,
     };
     let (metric, objective) = guarantee.unwrap_or((ErrorMetric::Absolute, f64::INFINITY));
-    let answer = engine.answer(kind, metric, objective, 0.0)?;
+    let answer = doc.payload.answer(kind, metric, objective, 0.0)?;
     let interval = answer.interval.filter(|_| guarantee.is_some());
     print_answer(out, kind, answer.est, interval.map(|iv| (iv.lo, iv.hi)))
 }
@@ -549,7 +540,7 @@ mod tests {
         let doc = crate::io::read_synopsis(&syn_path).unwrap();
         assert_eq!(doc.algorithm, "hist");
         assert_eq!(doc.objective, Some(0.0), "three plateaus, three buckets");
-        assert!(matches!(doc.payload, SynopsisPayload::Histogram(_)));
+        assert!(matches!(doc.payload, AnySynopsis1d::Histogram(_)));
         dispatch(&v(&[
             "eval",
             "--synopsis",

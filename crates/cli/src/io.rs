@@ -3,6 +3,7 @@
 use std::fs;
 use std::path::Path;
 
+use wsyn_aqp::AnySynopsis1d;
 use wsyn_core::json::{self, Value};
 use wsyn_synopsis::Synopsis1d;
 
@@ -33,59 +34,11 @@ pub fn write_data(path: &str, data: &[f64]) -> Result<(), String> {
     fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
-/// The synopsis payload of an on-disk document: one variant per
-/// persisted synopsis family. Wavelet documents store `entries`
-/// (`[index, coefficient]` pairs); histogram documents store `buckets`
-/// (`[start, value]` pairs) — the key names double as the format tag.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SynopsisPayload {
-    /// Retained wavelet coefficients.
-    Wavelet(Synopsis1d),
-    /// Step-function buckets.
-    Histogram(wsyn_hist::StepSynopsis),
-}
-
-impl SynopsisPayload {
-    /// Domain size `N`.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        match self {
-            SynopsisPayload::Wavelet(s) => s.n(),
-            SynopsisPayload::Histogram(s) => s.n(),
-        }
-    }
-
-    /// Space used: retained coefficients or buckets.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            SynopsisPayload::Wavelet(s) => s.len(),
-            SynopsisPayload::Histogram(s) => s.len(),
-        }
-    }
-
-    /// Whether the synopsis retains nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// What `len()` counts, for human-readable output.
-    #[must_use]
-    pub fn unit(&self) -> &'static str {
-        match self {
-            SynopsisPayload::Wavelet(_) => "coefficients",
-            SynopsisPayload::Histogram(_) => "buckets",
-        }
-    }
-
-    /// The full approximate reconstruction.
-    #[must_use]
-    pub fn reconstruct(&self) -> Vec<f64> {
-        match self {
-            SynopsisPayload::Wavelet(s) => s.reconstruct(),
-            SynopsisPayload::Histogram(s) => s.reconstruct(),
-        }
+/// What a synopsis's `len()` counts, for human-readable output.
+pub fn unit(synopsis: &AnySynopsis1d) -> &'static str {
+    match synopsis {
+        AnySynopsis1d::Wavelet(_) => "coefficients",
+        AnySynopsis1d::Histogram(_) => "buckets",
     }
 }
 
@@ -99,14 +52,17 @@ pub struct SynopsisDoc {
     /// The guaranteed maximum error at build time (guarantee-providing
     /// families only).
     pub objective: Option<f64>,
-    /// The synopsis itself.
-    pub payload: SynopsisPayload,
+    /// The synopsis itself. Wavelet documents store `entries`
+    /// (`[index, coefficient]` pairs); histogram documents store
+    /// `buckets` (`[start, value]` pairs) — the key names double as the
+    /// format tag.
+    pub payload: AnySynopsis1d,
 }
 
 impl SynopsisDoc {
     fn to_json(&self) -> Value {
         let body = match &self.payload {
-            SynopsisPayload::Wavelet(s) => {
+            AnySynopsis1d::Wavelet(s) => {
                 let entries = s
                     .entries()
                     .iter()
@@ -117,7 +73,7 @@ impl SynopsisDoc {
                     ("entries", Value::Array(entries)),
                 ])
             }
-            SynopsisPayload::Histogram(s) => {
+            AnySynopsis1d::Histogram(s) => {
                 let buckets = s
                     .buckets()
                     .iter()
@@ -194,13 +150,13 @@ impl SynopsisDoc {
             // Construct without invariant checks; the caller validates,
             // so malformed documents surface as errors instead of
             // panics.
-            SynopsisPayload::Wavelet(Synopsis1d::from_raw_parts(n, pairs("entries", raw)?))
+            AnySynopsis1d::Wavelet(Synopsis1d::from_raw_parts(n, pairs("entries", raw)?))
         } else if let Some(raw) = syn.get("buckets").and_then(Value::as_array) {
             let buckets = pairs("buckets", raw)?
                 .into_iter()
                 .map(|(start, value)| wsyn_hist::Bucket { start, value })
                 .collect();
-            SynopsisPayload::Histogram(
+            AnySynopsis1d::Histogram(
                 wsyn_hist::StepSynopsis::from_buckets(n, buckets)
                     .map_err(|e| format!("invalid histogram synopsis: {e}"))?,
             )
@@ -231,7 +187,7 @@ pub fn read_synopsis(path: &str) -> Result<SynopsisDoc, String> {
     let doc =
         SynopsisDoc::from_json(&value).map_err(|e| format!("{path}: bad synopsis JSON: {e}"))?;
     // Histogram payloads are validated on construction in `from_json`.
-    if let SynopsisPayload::Wavelet(s) = &doc.payload {
+    if let AnySynopsis1d::Wavelet(s) = &doc.payload {
         s.validate()
             .map_err(|e| format!("{path}: invalid synopsis: {e}"))?;
     }
@@ -311,7 +267,7 @@ mod tests {
             algorithm: "minmax".into(),
             metric: Some("rel:1.0".into()),
             objective: Some(0.5),
-            payload: SynopsisPayload::Wavelet(syn.clone()),
+            payload: AnySynopsis1d::Wavelet(syn.clone()),
         };
         let dir = std::env::temp_dir().join("wsyn-cli-test-syn");
         std::fs::create_dir_all(&dir).unwrap();
@@ -319,7 +275,7 @@ mod tests {
         let path = path.to_str().unwrap();
         write_synopsis(path, &doc).unwrap();
         let back = read_synopsis(path).unwrap();
-        assert_eq!(back.payload, SynopsisPayload::Wavelet(syn));
+        assert_eq!(back.payload, AnySynopsis1d::Wavelet(syn));
         assert_eq!(back.objective, Some(0.5));
     }
 
@@ -336,7 +292,7 @@ mod tests {
             algorithm: "hist".into(),
             metric: Some("abs".into()),
             objective: Some(run.objective),
-            payload: SynopsisPayload::Histogram(run.synopsis.clone()),
+            payload: AnySynopsis1d::Histogram(run.synopsis.clone()),
         };
         let dir = std::env::temp_dir().join("wsyn-cli-test-hist");
         std::fs::create_dir_all(&dir).unwrap();
@@ -345,7 +301,7 @@ mod tests {
         write_synopsis(path, &doc).unwrap();
         let back = read_synopsis(path).unwrap();
         assert_eq!(back.algorithm, "hist");
-        assert_eq!(back.payload, SynopsisPayload::Histogram(run.synopsis));
+        assert_eq!(back.payload, AnySynopsis1d::Histogram(run.synopsis));
         // A malformed bucket list (unsorted starts) is rejected cleanly.
         std::fs::write(
             dir.join("bad.json"),

@@ -471,7 +471,6 @@ fn check_aqp_bounds(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failu
             );
         }
         if matches!(spec, MetricSpec::Abs) {
-            let engine = wsyn_aqp::QueryEngine1d::new(r.synopsis.clone());
             // Exact prefix sums: prefix[hi] = Σ data[0..hi].
             let prefix: Vec<f64> = std::iter::once(0.0)
                 .chain(data.iter().scan(0.0f64, |acc, &v| {
@@ -480,7 +479,7 @@ fn check_aqp_bounds(inst: &Instance, sum: &mut CheckSummary) -> Result<(), Failu
                 }))
                 .collect();
             for (hi, &exact) in prefix.iter().enumerate() {
-                let est = engine.range_sum(0..hi);
+                let est = r.synopsis.range_sum(0..hi);
                 let iv = wsyn_aqp::bounds::range_sum_absolute(est, r.objective, hi);
                 ensure!(
                     sum,

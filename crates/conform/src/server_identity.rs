@@ -10,7 +10,7 @@
 //!   ephemeral loopback port answers a build/query/update script, and
 //!   every response is compared against the *expected bytes*: the same
 //!   answer computed from library primitives ([`MinMaxErr`],
-//!   [`QueryEngine1d`], `wsyn_aqp::bounds`) and rendered through the
+//!   [`Synopsis1d`], `wsyn_aqp::bounds`) and rendered through the
 //!   same canonical protocol codec. A build must reproduce the cold
 //!   run's objective bit pattern and retained set; a query's frame must
 //!   match byte for byte.
@@ -19,11 +19,11 @@
 //!   `WSYN_POOL_THREADS=1` and `=4` and `diff -u`s: the two streams
 //!   must be identical.
 
-use wsyn_aqp::{bounds, QueryEngine1d};
+use wsyn_aqp::bounds;
 use wsyn_core::json::Value;
 use wsyn_serve::{Client, QueryKind, Request, Response, ServeConfig, Server};
 use wsyn_synopsis::one_dim::MinMaxErr;
-use wsyn_synopsis::ErrorMetric;
+use wsyn_synopsis::{ErrorMetric, Synopsis1d};
 
 use crate::checks::CheckSummary;
 use crate::gen::Instance;
@@ -100,7 +100,7 @@ fn range_plan(n: usize) -> Vec<QueryKind> {
 /// the protocol codec. Mirrors the interval derivations documented on
 /// `wsyn_serve::store::Column::query`.
 fn expected_query_bytes(
-    engine: &QueryEngine1d,
+    synopsis: &Synopsis1d,
     objective: f64,
     metric: ErrorMetric,
     kind: QueryKind,
@@ -111,7 +111,7 @@ fn expected_query_bytes(
     };
     let (est, interval) = match kind {
         QueryKind::Point(i) => {
-            let est = engine.point(i) + 0.0;
+            let est = synopsis.point(i) + 0.0;
             let iv = match metric {
                 ErrorMetric::Absolute => Some(bounds::point_absolute(est, objective)),
                 ErrorMetric::Relative { sanity } => {
@@ -121,14 +121,14 @@ fn expected_query_bytes(
             (est, iv)
         }
         QueryKind::RangeSum(lo, hi) => {
-            let est = engine.range_sum(lo..hi) + 0.0;
+            let est = synopsis.range_sum(lo..hi) + 0.0;
             let iv = match metric {
                 ErrorMetric::Absolute => Some(bounds::range_sum_absolute(est, objective, hi - lo)),
                 ErrorMetric::Relative { .. } => None,
             };
             (est, iv)
         }
-        QueryKind::RangeAvg(lo, hi) => (engine.range_avg(lo..hi) + 0.0, None),
+        QueryKind::RangeAvg(lo, hi) => (synopsis.range_avg(lo..hi) + 0.0, None),
     };
     Response::ok(vec![
         ("est", Value::Number(est)),
@@ -192,7 +192,6 @@ fn check_pair(
     }
     sum.stats = sum.stats.merged(lib.stats);
 
-    let engine = QueryEngine1d::new(lib.synopsis);
     let queries = point_plan(data_len)
         .into_iter()
         .map(QueryKind::Point)
@@ -205,7 +204,7 @@ fn check_pair(
                 trace: false,
             })
             .map_err(|e| Failure::new("server-query", name, e))?;
-        let want = expected_query_bytes(&engine, lib.objective, metric, kind);
+        let want = expected_query_bytes(&lib.synopsis, lib.objective, metric, kind);
         sum.checks += 1;
         if got != want {
             return Err(Failure::new(

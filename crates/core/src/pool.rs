@@ -30,16 +30,14 @@
 //!   the min-work floor in [`Pool::threads_for`] keeps the spawn cost
 //!   off every small instance, and the items parallelized here (whole
 //!   DP solves, subtree shards, benchmark rows) dwarf a thread spawn.
-//! * One `Mutex` guards the queue *and* the result pile; a `Condvar`
-//!   signals completion so the calling thread — which participates as
-//!   worker 0 — can begin merging as soon as the last result lands,
-//!   before the helper threads are torn down.
-//! * Worker panics must not deadlock the completion wait: a drop guard
-//!   flips an `aborted` flag during unwind and wakes the caller, and
-//!   the scope join then propagates the panic.
+//! * One `Mutex` guards the queue *and* the result pile. The calling
+//!   thread participates as worker 0 and merges after the scope joins
+//!   the helpers, so there is no completion wait to deadlock: the join
+//!   itself re-raises a worker's panic, and a partial result pile never
+//!   escapes.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Minimum queue items per worker thread before a second thread is
 /// worth spawning. Everything routed through the pool is coarse (a
@@ -94,14 +92,12 @@ impl Default for Pool {
     }
 }
 
-/// Shared worker state: the chunk queue, the unordered result pile, and
-/// the completion/abort bookkeeping. One lock guards all of it — items
-/// are coarse, so the lock is touched twice per item.
+/// Shared worker state: the chunk queue and the unordered result pile.
+/// One lock guards both — items are coarse, so the lock is touched twice
+/// per item.
 struct State<T, R> {
     queue: VecDeque<(usize, T)>,
     results: Vec<(usize, R)>,
-    pending: usize,
-    aborted: bool,
 }
 
 fn lock<'a, T, R>(m: &'a Mutex<State<T, R>>) -> MutexGuard<'a, State<T, R>> {
@@ -109,24 +105,6 @@ fn lock<'a, T, R>(m: &'a Mutex<State<T, R>>) -> MutexGuard<'a, State<T, R>> {
     // queue of untouched items plus completed results, both still
     // coherent, and the scope join will re-raise the panic.
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Flips `aborted` and wakes the completion waiter if a worker unwinds
-/// mid-item, so the caller stops waiting and the scope join can
-/// propagate the panic instead of deadlocking.
-struct AbortOnPanic<'a, T, R> {
-    state: &'a Mutex<State<T, R>>,
-    done: &'a Condvar,
-    armed: bool,
-}
-
-impl<T, R> Drop for AbortOnPanic<'_, T, R> {
-    fn drop(&mut self) {
-        if self.armed {
-            lock(self.state).aborted = true;
-            self.done.notify_all();
-        }
-    }
 }
 
 impl Pool {
@@ -193,47 +171,29 @@ impl Pool {
         let state = Mutex::new(State {
             queue: items.into_iter().enumerate().collect(),
             results: Vec::with_capacity(n),
-            pending: n,
-            aborted: false,
         });
-        let done = Condvar::new();
 
-        let work = || {
-            let mut guard = AbortOnPanic {
-                state: &state,
-                done: &done,
-                armed: true,
-            };
-            loop {
-                let item = lock(&state).queue.pop_front();
-                let Some((i, x)) = item else { break };
-                let r = f(i, x);
-                let mut s = lock(&state);
-                s.results.push((i, r));
-                s.pending -= 1;
-                if s.pending == 0 {
-                    done.notify_all();
-                }
-            }
-            guard.armed = false;
+        let work = || loop {
+            let item = lock(&state).queue.pop_front();
+            let Some((i, x)) = item else { break };
+            let r = f(i, x);
+            lock(&state).results.push((i, r));
         };
 
-        let mut pairs = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 1..workers {
                 scope.spawn(work);
             }
             // The caller is worker 0: it drains the queue alongside the
-            // helpers, then waits for their in-flight items.
+            // helpers. Scope exit joins them and re-raises any panic, so
+            // a partial result pile never escapes.
             work();
-            let mut s = lock(&state);
-            while s.pending > 0 && !s.aborted {
-                s = done.wait(s).unwrap_or_else(PoisonError::into_inner);
-            }
-            std::mem::take(&mut s.results)
-            // Scope exit joins the helpers and re-raises any panic, so
-            // an aborted (partial) result pile never escapes.
         });
 
+        let mut pairs = state
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .results;
         pairs.sort_unstable_by_key(|&(i, _)| i);
         pairs.into_iter().map(|(_, r)| r).collect()
     }
@@ -358,9 +318,8 @@ mod tests {
 
     #[test]
     fn single_worker_panic_aborts_cleanly_with_payload() {
-        // One task out of many panics: the completion wait must observe
-        // the abort and the scope join must re-raise a panic — not hang
-        // on the Condvar, not return a partial pile. The 60-second
+        // One task out of many panics: the scope join must re-raise a
+        // panic — not hang, not return a partial pile. The 60-second
         // watchdog distinguishes "clean abort" from "hang" without
         // racing the pool's own teardown. The payload is the original
         // message when worker 0 (the caller) drew the poisoned item, and
@@ -395,10 +354,9 @@ mod tests {
 
     #[test]
     fn every_worker_panicking_still_aborts_cleanly() {
-        // The pathological case: all in-flight items unwind, so every
-        // worker's drop guard fires and the caller (worker 0, also
-        // unwinding) never reaches the Condvar wait. The scope join must
-        // still deliver a panic rather than deadlock.
+        // The pathological case: all in-flight items unwind, the caller
+        // (worker 0) included. The scope join must still deliver a panic
+        // rather than deadlock.
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let result = std::panic::catch_unwind(|| {

@@ -10,7 +10,8 @@
 //!
 //! * [`StepSynopsis`] — the synopsis: at most `b` constant buckets
 //!   tiling `[0, n)`; the empty synopsis reconstructs `0.0` everywhere
-//!   (the wavelet solvers' `B = 0` convention).
+//!   (the wavelet solvers' `B = 0` convention). It answers point queries
+//!   in `O(log b)` and range sums and averages in `O(b)`.
 //! * [`solve`] — the DP, with [`SplitStrategy::Binary`] (the `O(n log
 //!   n)`-probe speedup) and [`SplitStrategy::Exhaustive`] (its
 //!   refutation twin) certified bit-identical, objective *and*
@@ -25,6 +26,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::ops::Range;
 
 use wsyn_core::WsynError;
 
@@ -116,11 +119,15 @@ impl StepSynopsis {
         &self.buckets
     }
 
-    /// The reconstructed value at index `i < n`: the covering bucket's
-    /// constant, or `0.0` for the empty synopsis.
+    /// Approximate point query `d̂_i`: the covering bucket's constant, or
+    /// `0.0` for the empty synopsis — `O(log b)` (bucket binary search).
+    ///
+    /// # Panics
+    /// Panics when `i >= N`.
     #[must_use]
     pub fn point(&self, i: usize) -> f64 {
-        debug_assert!(i < self.n, "index {i} out of range (N = {})", self.n);
+        let n = self.n;
+        assert!(i < n, "point index {i} out of range (N = {n})");
         if self.buckets.is_empty() {
             return 0.0;
         }
@@ -134,6 +141,39 @@ impl StepSynopsis {
             let end = self.buckets.get(k + 1).map_or(self.n, |next| next.start);
             (b.start, end, b.value)
         })
+    }
+
+    /// Approximate range sum `Σ_{i ∈ range} d̂_i` — `O(b)`: each bucket
+    /// contributes `value · |range ∩ bucket|`, the step analogue of the
+    /// wavelet coefficient-overlap weights.
+    ///
+    /// # Panics
+    /// Panics on an out-of-bounds range.
+    #[must_use]
+    pub fn range_sum(&self, range: Range<usize>) -> f64 {
+        let n = self.n;
+        assert!(range.end <= n, "range {range:?} out of bounds (N = {n})");
+        if range.is_empty() {
+            return 0.0;
+        }
+        self.spans()
+            .map(|(start, end, value)| {
+                let lo = range.start.max(start);
+                let hi = range.end.min(end);
+                value * hi.saturating_sub(lo) as f64
+            })
+            .sum()
+    }
+
+    /// Approximate range average.
+    ///
+    /// # Panics
+    /// Panics on an empty or out-of-bounds range.
+    #[must_use]
+    pub fn range_avg(&self, range: Range<usize>) -> f64 {
+        assert!(!range.is_empty(), "empty range");
+        let len = (range.end - range.start) as f64;
+        self.range_sum(range) / len
     }
 
     /// Materializes the full approximation.
@@ -200,5 +240,46 @@ mod tests {
         assert!(StepSynopsis::from_buckets(4, vec![b(0, 0.0), b(4, 1.0)]).is_err());
         assert!(StepSynopsis::from_buckets(4, vec![b(0, f64::NAN)]).is_err());
         assert!(StepSynopsis::from_buckets(4, vec![b(0, 1.0), b(2, 3.0)]).is_ok());
+    }
+
+    fn sawtooth() -> Vec<f64> {
+        (0..16).map(|i| f64::from((i * 5 + 2) % 11) - 5.0).collect()
+    }
+
+    #[test]
+    fn point_queries_stay_within_the_objective() {
+        let data = sawtooth();
+        let run = solve(&data, None, 4, SplitStrategy::Binary).unwrap();
+        for (i, &d) in data.iter().enumerate() {
+            assert!(
+                (run.synopsis.point(i) - d).abs() <= run.objective + 1e-12,
+                "i={i}"
+            );
+        }
+    }
+
+    #[test]
+    fn range_aggregates_match_the_reconstruction() {
+        let syn = solve(&sawtooth(), None, 4, SplitStrategy::Binary)
+            .unwrap()
+            .synopsis;
+        let recon = syn.reconstruct();
+        for lo in 0..16usize {
+            for hi in lo..=16 {
+                let truth: f64 = recon[lo..hi].iter().sum();
+                let est = syn.range_sum(lo..hi);
+                assert!((est - truth).abs() < 1e-9, "[{lo}, {hi}): {est} vs {truth}");
+                if hi > lo {
+                    assert!((syn.range_avg(lo..hi) - truth / (hi - lo) as f64).abs() < 1e-9);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_synopsis_answers_zero() {
+        let syn = StepSynopsis::empty(8);
+        assert_eq!(syn.point(3), 0.0);
+        assert_eq!(syn.range_sum(0..8), 0.0);
     }
 }

@@ -41,7 +41,7 @@ pub mod store;
 pub use client::Client;
 pub use protocol::{QueryKind, Request, Response};
 pub use server::{ServeConfig, Server};
-pub use store::{AnyColumn, BuiltEngine, Column, StreamColumn};
+pub use store::{AnyColumn, Column, StreamColumn};
 
 /// The workspace's **full synopsis-family registry**: the core families
 /// hosted by `wsyn-synopsis` (`minmax`, `greedy`, `hist`) plus the

@@ -103,53 +103,46 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, String> {
     Ok(Some(body))
 }
 
-/// One query shape against a built column.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum QueryKind {
-    /// Reconstructed value of `data[i]`.
-    Point(usize),
-    /// Reconstructed sum over `[lo, hi)`.
-    RangeSum(usize, usize),
-    /// Reconstructed mean over `[lo, hi)`.
-    RangeAvg(usize, usize),
+/// The query shapes a `query` request carries; the type lives beside
+/// the answer derivation in `wsyn-aqp`.
+pub use wsyn_aqp::QueryKind;
+
+/// The wire fields of a query shape.
+fn query_fields(kind: QueryKind) -> Vec<(&'static str, Value)> {
+    match kind {
+        QueryKind::Point(i) => vec![
+            ("kind", Value::String("point".to_string())),
+            ("i", Value::Number(i as f64)),
+        ],
+        QueryKind::RangeSum(lo, hi) => vec![
+            ("kind", Value::String("sum".to_string())),
+            ("lo", Value::Number(lo as f64)),
+            ("hi", Value::Number(hi as f64)),
+        ],
+        QueryKind::RangeAvg(lo, hi) => vec![
+            ("kind", Value::String("avg".to_string())),
+            ("lo", Value::Number(lo as f64)),
+            ("hi", Value::Number(hi as f64)),
+        ],
+    }
 }
 
-impl QueryKind {
-    fn to_fields(self) -> Vec<(&'static str, Value)> {
-        match self {
-            QueryKind::Point(i) => vec![
-                ("kind", Value::String("point".to_string())),
-                ("i", Value::Number(i as f64)),
-            ],
-            QueryKind::RangeSum(lo, hi) => vec![
-                ("kind", Value::String("sum".to_string())),
-                ("lo", Value::Number(lo as f64)),
-                ("hi", Value::Number(hi as f64)),
-            ],
-            QueryKind::RangeAvg(lo, hi) => vec![
-                ("kind", Value::String("avg".to_string())),
-                ("lo", Value::Number(lo as f64)),
-                ("hi", Value::Number(hi as f64)),
-            ],
-        }
-    }
-
-    fn from_json(v: &Value) -> Result<QueryKind, String> {
-        let kind = v
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or("query missing string 'kind'")?;
-        let idx = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_usize)
-                .ok_or_else(|| format!("query missing index '{key}'"))
-        };
-        match kind {
-            "point" => Ok(QueryKind::Point(idx("i")?)),
-            "sum" => Ok(QueryKind::RangeSum(idx("lo")?, idx("hi")?)),
-            "avg" => Ok(QueryKind::RangeAvg(idx("lo")?, idx("hi")?)),
-            other => Err(format!("unknown query kind '{other}'")),
-        }
+/// Decodes a query shape from a request's fields.
+fn query_from_json(v: &Value) -> Result<QueryKind, String> {
+    let kind = v
+        .get("kind")
+        .and_then(Value::as_str)
+        .ok_or("query missing string 'kind'")?;
+    let idx = |key: &str| {
+        v.get(key)
+            .and_then(Value::as_usize)
+            .ok_or_else(|| format!("query missing index '{key}'"))
+    };
+    match kind {
+        "point" => Ok(QueryKind::Point(idx("i")?)),
+        "sum" => Ok(QueryKind::RangeSum(idx("lo")?, idx("hi")?)),
+        "avg" => Ok(QueryKind::RangeAvg(idx("lo")?, idx("hi")?)),
+        other => Err(format!("unknown query kind '{other}'")),
     }
 }
 
@@ -295,7 +288,7 @@ impl Request {
                 trace,
             } => {
                 let mut fields = vec![op("query"), col(column)];
-                fields.extend(kind.to_fields());
+                fields.extend(query_fields(*kind));
                 fields.push(("trace", Value::Bool(*trace)));
                 object(fields)
             }
@@ -410,7 +403,7 @@ impl Request {
             }),
             "query" => Ok(Request::Query {
                 column: column()?,
-                kind: QueryKind::from_json(v)?,
+                kind: query_from_json(v)?,
                 trace,
             }),
             "update" => {

@@ -212,7 +212,7 @@ pub fn handle(
     }
 }
 
-fn answer_fields(answer: &crate::store::Answer) -> Vec<(&'static str, Value)> {
+fn answer_fields(answer: &wsyn_aqp::Answer) -> Vec<(&'static str, Value)> {
     vec![
         ("est", Value::Number(answer.est)),
         ("guarantee", Value::Number(answer.guarantee)),

@@ -22,7 +22,7 @@
 //! library answers.
 //!
 //! Every answer — a dynamic column's, a finalized stream's, and the
-//! CLI's from a synopsis file — is derived by [`BuiltEngine::answer`].
+//! CLI's from a synopsis file — is derived by [`AnySynopsis1d::answer`].
 //!
 //! Builds are **family-aware**: a build request may name a synopsis
 //! family from the workspace registry (`minmax`, `hist`, or the
@@ -33,7 +33,7 @@
 //! histogram iff its objective is *strictly* smaller (ties break to the
 //! wavelet), so the pick is a pure function of the column state.
 
-use wsyn_aqp::{bounds, QueryEngine1d, StepEngine};
+use wsyn_aqp::{Answer, AnySynopsis1d, QueryKind};
 use wsyn_haar::{is_pow2, HaarError};
 use wsyn_obs::Collector;
 use wsyn_stream::{check_update, RebuildPolicy, StreamSketch};
@@ -42,142 +42,6 @@ use wsyn_synopsis::histogram::HistThresholder;
 use wsyn_synopsis::one_dim::MinMaxErr;
 use wsyn_synopsis::thresholder::{RunParams, SolverScratch};
 use wsyn_synopsis::{ErrorMetric, Thresholder};
-
-use crate::protocol::QueryKind;
-
-/// The query engine of a build, dispatching on the synopsis family that
-/// produced it. Both variants answer the same point/range workload;
-/// [`BuiltEngine::answer`] derives intervals from `(estimate, guarantee)`
-/// pairs alone and never cares which arm they came from.
-#[derive(Debug)]
-pub enum BuiltEngine {
-    /// Wavelet coefficient-domain engine (`minmax` family).
-    Wavelet(QueryEngine1d),
-    /// Step-function engine (`hist` family).
-    Hist(StepEngine),
-}
-
-impl BuiltEngine {
-    /// Approximate point query `d̂_i`.
-    #[must_use]
-    pub fn point(&self, i: usize) -> f64 {
-        match self {
-            BuiltEngine::Wavelet(e) => e.point(i),
-            BuiltEngine::Hist(e) => e.point(i),
-        }
-    }
-
-    /// Approximate range sum.
-    #[must_use]
-    pub fn range_sum(&self, range: std::ops::Range<usize>) -> f64 {
-        match self {
-            BuiltEngine::Wavelet(e) => e.range_sum(range),
-            BuiltEngine::Hist(e) => e.range_sum(range),
-        }
-    }
-
-    /// Approximate range average.
-    #[must_use]
-    pub fn range_avg(&self, range: std::ops::Range<usize>) -> f64 {
-        match self {
-            BuiltEngine::Wavelet(e) => e.range_avg(range),
-            BuiltEngine::Hist(e) => e.range_avg(range),
-        }
-    }
-
-    /// The synopsis's retained positions: coefficient indices for the
-    /// wavelet family, bucket start offsets for the histogram family.
-    #[must_use]
-    pub fn retained(&self) -> Vec<usize> {
-        match self {
-            BuiltEngine::Wavelet(e) => e.synopsis().indices(),
-            BuiltEngine::Hist(e) => e.synopsis().buckets().iter().map(|b| b.start).collect(),
-        }
-    }
-
-    /// The wavelet engine, when this build is one.
-    #[must_use]
-    pub fn as_wavelet(&self) -> Option<&QueryEngine1d> {
-        match self {
-            BuiltEngine::Wavelet(e) => Some(e),
-            BuiltEngine::Hist(_) => None,
-        }
-    }
-
-    /// Answers `kind` under a build-time guarantee `objective` for
-    /// `metric`, after `drift = Σ|δ|` of updates the synopsis has not
-    /// seen. The one derivation of every answer interval:
-    ///
-    /// * point, absolute metric: `est ± (objective + drift)`;
-    /// * point, relative metric: the relative hull at `objective`,
-    ///   widened by `drift` on each side;
-    /// * range sum, absolute metric: `est ± (objective + drift) · len`;
-    /// * range sum under a relative metric, and range averages: no
-    ///   interval (none is derivable from a per-value guarantee).
-    ///
-    /// Each is conservative under drift: the true value moved by at most
-    /// `drift` since the build.
-    ///
-    /// # Errors
-    /// An index or range outside the engine's domain.
-    pub fn answer(
-        &self,
-        kind: QueryKind,
-        metric: ErrorMetric,
-        objective: f64,
-        drift: f64,
-    ) -> Result<Answer, String> {
-        let n = match self {
-            BuiltEngine::Wavelet(e) => e.n(),
-            BuiltEngine::Hist(e) => e.n(),
-        };
-        let guarantee = objective + drift;
-        // `+ 0.0` normalizes a `-0.0` estimate.
-        let (est, interval) = match kind {
-            QueryKind::Point(i) => {
-                if i >= n {
-                    return Err(format!("index {i} out of range (N = {n})"));
-                }
-                let est = self.point(i) + 0.0;
-                let interval = match metric {
-                    ErrorMetric::Absolute => bounds::point_absolute(est, guarantee),
-                    ErrorMetric::Relative { sanity } => {
-                        let iv = bounds::point_relative(est, objective, sanity);
-                        bounds::Interval {
-                            lo: iv.lo - drift,
-                            hi: iv.hi + drift,
-                        }
-                    }
-                };
-                (est, Some(interval))
-            }
-            QueryKind::RangeSum(lo, hi) => {
-                if lo > hi || hi > n {
-                    return Err(format!("bad range [{lo}, {hi}) for N = {n}"));
-                }
-                let est = self.range_sum(lo..hi) + 0.0;
-                let interval = match metric {
-                    ErrorMetric::Absolute => {
-                        Some(bounds::range_sum_absolute(est, guarantee, hi - lo))
-                    }
-                    ErrorMetric::Relative { .. } => None,
-                };
-                (est, interval)
-            }
-            QueryKind::RangeAvg(lo, hi) => {
-                if lo >= hi || hi > n {
-                    return Err(format!("bad range [{lo}, {hi}) for N = {n}"));
-                }
-                (self.range_avg(lo..hi) + 0.0, None)
-            }
-        };
-        Ok(Answer {
-            est,
-            guarantee,
-            interval,
-        })
-    }
-}
 
 /// The most recent successful build of a column.
 #[derive(Debug)]
@@ -201,8 +65,8 @@ pub struct Built {
     /// Accumulated `Σ|δ|` applied since the build (conservative
     /// guarantee drift, judged by [`RebuildPolicy::degraded`]).
     pub drift_abs: f64,
-    /// Query engine over the built synopsis.
-    pub engine: BuiltEngine,
+    /// The built synopsis, which answers the column's queries.
+    pub engine: AnySynopsis1d,
 }
 
 impl Built {
@@ -251,21 +115,7 @@ fn resolve_family(spec: Option<&str>) -> Result<FamilyChoice, String> {
 struct Solved {
     family: &'static str,
     objective: f64,
-    engine: BuiltEngine,
-}
-
-/// The answer to one query: the estimate, the conservative guarantee it
-/// was answered under, and the guaranteed interval (when one is
-/// derivable for the metric/query combination).
-#[derive(Debug, Clone, Copy)]
-pub struct Answer {
-    /// The synopsis estimate (`-0.0` normalized to `0.0`).
-    pub est: f64,
-    /// The conservative guarantee in force: the build-time objective
-    /// plus the drift since ([`Built::guarantee`]).
-    pub guarantee: f64,
-    /// Guaranteed interval containing the true value, if derivable.
-    pub interval: Option<bounds::Interval>,
+    engine: AnySynopsis1d,
 }
 
 /// A named column: maintained data, pending updates, current build.
@@ -411,48 +261,12 @@ impl Column {
         Ok(())
     }
 
-    /// Runs the wavelet DP at `(budget, metric)` over the current data.
-    fn solve(
-        &mut self,
-        budget: usize,
-        metric: ErrorMetric,
-        obs: &Collector,
-    ) -> Result<(f64, wsyn_synopsis::Synopsis1d), String> {
-        let params = RunParams::new(budget, metric).obs(obs.clone());
-        let run = MinMaxErr::new(&self.data)
-            .map_err(|e| e.to_string())?
-            .threshold_with_reusing(&params, &mut self.scratch)
-            .map_err(|e| e.to_string())?;
-        let synopsis = run
-            .synopsis
-            .into_one("the server")
-            .map_err(|e| e.to_string())?;
-        Ok((run.objective, synopsis))
-    }
-
-    /// Runs the histogram DP at `(budget, metric)` over the current
-    /// data.
-    fn solve_hist(
-        &self,
-        budget: usize,
-        metric: ErrorMetric,
-        obs: &Collector,
-    ) -> Result<(f64, wsyn_hist::StepSynopsis), String> {
-        let params = RunParams::new(budget, metric).obs(obs.clone());
-        let run = HistThresholder::new(&self.data)
-            .threshold_with(&params)
-            .map_err(|e| e.to_string())?;
-        let synopsis = run
-            .synopsis
-            .into_histogram("the server")
-            .map_err(|e| e.to_string())?;
-        Ok((run.objective, synopsis))
-    }
-
-    /// Solves under `choice`. `Auto` solves both families on the same
-    /// drained data — wavelet first, then histogram, a fixed order so
-    /// traces are deterministic — and keeps the histogram iff its
-    /// objective is strictly smaller (ties break to the wavelet).
+    /// Solves under `choice`: each family's DP runs over the current
+    /// data through [`Thresholder::threshold_with_reusing`] with the
+    /// column's scratch. `Auto` solves both families on the same drained
+    /// data — wavelet first, then histogram, a fixed order so traces are
+    /// deterministic — and keeps the histogram iff its objective is
+    /// strictly smaller (ties break to the wavelet).
     fn solve_family(
         &mut self,
         choice: FamilyChoice,
@@ -460,28 +274,28 @@ impl Column {
         metric: ErrorMetric,
         obs: &Collector,
     ) -> Result<Solved, String> {
-        let wavelet = |col: &mut Column, obs: &Collector| -> Result<Solved, String> {
-            let (objective, synopsis) = col.solve(budget, metric, obs)?;
+        let params = RunParams::new(budget, metric).obs(obs.clone());
+        let mut solve = |family: &'static str| -> Result<Solved, String> {
+            let run = if family == HIST {
+                HistThresholder::new(&self.data).threshold_with_reusing(&params, &mut self.scratch)
+            } else {
+                MinMaxErr::new(&self.data)
+                    .map_err(|e| e.to_string())?
+                    .threshold_with_reusing(&params, &mut self.scratch)
+            }
+            .map_err(|e| e.to_string())?;
             Ok(Solved {
-                family: MINMAX,
-                objective,
-                engine: BuiltEngine::Wavelet(QueryEngine1d::new(synopsis)),
-            })
-        };
-        let hist = |col: &mut Column, obs: &Collector| -> Result<Solved, String> {
-            let (objective, synopsis) = col.solve_hist(budget, metric, obs)?;
-            Ok(Solved {
-                family: HIST,
-                objective,
-                engine: BuiltEngine::Hist(StepEngine::new(synopsis)),
+                family,
+                objective: run.objective,
+                engine: AnySynopsis1d::try_from(run.synopsis).map_err(|e| e.to_string())?,
             })
         };
         match choice {
-            FamilyChoice::Wavelet => wavelet(self, obs),
-            FamilyChoice::Hist => hist(self, obs),
+            FamilyChoice::Wavelet => solve(MINMAX),
+            FamilyChoice::Hist => solve(HIST),
             FamilyChoice::Auto => {
-                let w = wavelet(self, obs)?;
-                let h = hist(self, obs)?;
+                let w = solve(MINMAX)?;
+                let h = solve(HIST)?;
                 Ok(if h.objective < w.objective { h } else { w })
             }
         }
@@ -523,7 +337,7 @@ impl Column {
     }
 
     /// Drains pending updates, then answers `kind` from the built
-    /// synopsis through [`BuiltEngine::answer`], under the drift
+    /// synopsis through [`AnySynopsis1d::answer`], under the drift
     /// accumulated since the build.
     ///
     /// # Errors
@@ -557,9 +371,9 @@ pub struct StreamBuilt {
     pub peak_cells: usize,
     /// Peak resident sketch bytes during the pass.
     pub peak_bytes: usize,
-    /// Query engine over the finalized synopsis (always the wavelet
-    /// arm).
-    pub engine: BuiltEngine,
+    /// The finalized synopsis, which answers the column's queries
+    /// (always the wavelet arm).
+    pub engine: AnySynopsis1d,
 }
 
 /// A column in *streaming ingest mode*: `append` frames feed a one-pass
@@ -701,7 +515,7 @@ impl StreamColumn {
                         dp_objective: run.dp_objective,
                         peak_cells: run.peak_cells,
                         peak_bytes: run.peak_bytes,
-                        engine: BuiltEngine::Wavelet(QueryEngine1d::new(run.synopsis)),
+                        engine: AnySynopsis1d::Wavelet(run.synopsis),
                     });
                 }
                 Err(e) => {
@@ -717,7 +531,7 @@ impl StreamColumn {
     }
 
     /// Answers `kind` from the finalized synopsis through
-    /// [`BuiltEngine::answer`]: absolute metric, the streaming guarantee
+    /// [`AnySynopsis1d::answer`]: absolute metric, the streaming guarantee
     /// in place of the DP objective, and no drift (a finalized stream
     /// never mutates).
     ///
@@ -776,7 +590,7 @@ mod tests {
                 let lib = reference.run(b, metric);
                 assert_eq!(built.objective.to_bits(), lib.objective.to_bits());
                 assert_eq!(
-                    built.engine.as_wavelet().unwrap().synopsis().indices(),
+                    built.engine.as_wavelet().unwrap().indices(),
                     lib.synopsis.indices()
                 );
             }
@@ -791,7 +605,7 @@ mod tests {
         let lib = MinMaxErr::new(&data)
             .unwrap()
             .run(6, ErrorMetric::absolute());
-        let engine = QueryEngine1d::new(lib.synopsis);
+        let engine = lib.synopsis;
         let obs = Collector::noop();
         for (i, &truth) in data.iter().enumerate() {
             let a = col.query(QueryKind::Point(i), &obs).unwrap();
@@ -869,7 +683,7 @@ mod tests {
                 assert!(a.interval.unwrap().contains(data[i]), "{spec} k={k}");
                 if metric == ErrorMetric::Absolute {
                     let built = col.built().unwrap();
-                    let recon = built.engine.as_wavelet().unwrap().synopsis().reconstruct();
+                    let recon = built.engine.as_wavelet().unwrap().reconstruct();
                     let true_err = metric.max_error(&data, &recon);
                     assert!(true_err <= a.guarantee, "{true_err} > {}", a.guarantee);
                 }
@@ -917,7 +731,7 @@ mod tests {
             let lib = reference.run(b, ErrorMetric::relative(1.0));
             assert_eq!(built.objective.to_bits(), lib.objective.to_bits(), "b={b}");
             assert_eq!(
-                built.engine.as_wavelet().unwrap().synopsis().indices(),
+                built.engine.as_wavelet().unwrap().indices(),
                 lib.synopsis.indices()
             );
         }
@@ -994,7 +808,7 @@ mod tests {
         let fresh = MinMaxErr::new(&[0.0; 4])
             .unwrap()
             .run(2, ErrorMetric::absolute());
-        let engine = QueryEngine1d::new(fresh.synopsis);
+        let engine = fresh.synopsis;
         let built = col.built().unwrap();
         assert_eq!(built.objective.to_bits(), fresh.objective.to_bits());
         for i in 0..4 {
@@ -1053,7 +867,7 @@ mod tests {
             let starts: Vec<usize> = lib.synopsis.buckets().iter().map(|bk| bk.start).collect();
             assert_eq!(built.engine.retained(), starts);
         }
-        // Queries flow through the step engine with intervals intact.
+        // Queries flow through the histogram synopsis with intervals intact.
         let obs = Collector::noop();
         col.build(6, "abs", Some("hist"), &obs).unwrap();
         for (i, &truth) in data.iter().enumerate() {

@@ -3,7 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use wsyn_aqp::QueryEngine1d;
 use wsyn_core::json::Value;
 use wsyn_serve::shard::handle;
 use wsyn_serve::{AnyColumn, Client, QueryKind, Request, ServeConfig, Server};
@@ -68,7 +67,7 @@ fn full_lifecycle_over_loopback_matches_library() {
         .collect();
     assert_eq!(retained, lib.synopsis.indices());
 
-    let engine = QueryEngine1d::new(lib.synopsis);
+    let engine = lib.synopsis;
     for i in [0usize, 17, 63] {
         let q = client
             .query("sales", QueryKind::Point(i), false)

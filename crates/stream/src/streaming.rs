@@ -62,8 +62,8 @@
 //! spans at most `2B − 1` nodes, so the store is `O(B² · log²(N) / ε)`
 //! nodes in the worst case (sharing keeps it far smaller in practice),
 //! independent of `N` beyond the `log` factors. The builder counts its
-//! own peak working set ([`StreamSketch::peak_cells`],
-//! [`StreamSketch::peak_bytes`]) so tests can assert sublinearity
+//! own peak working set ([`StreamRun::peak_cells`],
+//! [`StreamRun::peak_bytes`]) so tests can assert sublinearity
 //! instead of trusting the analysis.
 
 use wsyn_core::{is_zero, narrow_u32, DpStats, WsynError};
@@ -351,7 +351,6 @@ pub struct StreamSketch {
     n: usize,
     levels: u32,
     budget: usize,
-    eps: f64,
     scale: f64,
     delta: f64,
     q_radius: usize,
@@ -453,7 +452,6 @@ impl StreamSketch {
             n,
             levels,
             budget: params.budget,
-            eps: params.eps,
             scale,
             delta,
             q_radius,
@@ -469,12 +467,6 @@ impl StreamSketch {
         })
     }
 
-    /// Declared stream length `N`.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Items consumed so far.
     #[must_use]
     pub fn pushed(&self) -> usize {
@@ -487,45 +479,7 @@ impl StreamSketch {
         self.pushed == self.n
     }
 
-    /// The budget `B`.
-    #[must_use]
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// The approximation knob `ε` the run was configured with.
-    #[must_use]
-    pub fn eps(&self) -> f64 {
-        self.eps
-    }
-
-    /// The quantization step `δ`.
-    #[must_use]
-    pub fn delta(&self) -> f64 {
-        self.delta
-    }
-
-    /// The grid radius `Q` (grid indices span `-Q..=Q`).
-    #[must_use]
-    pub fn q_radius(&self) -> usize {
-        self.q_radius
-    }
-
-    /// Peak number of simultaneously live DP cells so far.
-    #[must_use]
-    pub fn peak_cells(&self) -> usize {
-        self.peak_cells
-    }
-
-    /// Peak resident sketch bytes so far (DP table cells, the shared
-    /// retained-set node store, and the frontier stack; see
-    /// [`StreamRun::peak_bytes`]).
-    #[must_use]
-    pub fn peak_bytes(&self) -> usize {
-        self.peak_bytes
-    }
-
-    /// The documented worst-case bound on [`StreamSketch::peak_cells`]:
+    /// The documented worst-case bound on [`StreamRun::peak_cells`]:
     /// at most one live table per level plus one in flight, each at most
     /// `(B + 1) × (2Q + 1)` cells. Independent of `N` beyond the
     /// `log2 N` factor — the sublinearity witness tests assert against.
@@ -996,60 +950,6 @@ impl StreamingMaxErr {
         })
     }
 
-    /// Declared stream length `N`.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.sketch.n()
-    }
-
-    /// Items consumed so far.
-    #[must_use]
-    pub fn pushed(&self) -> usize {
-        self.sketch.pushed()
-    }
-
-    /// Whether all `N` items have arrived.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.sketch.is_complete()
-    }
-
-    /// The budget `B`.
-    #[must_use]
-    pub fn budget(&self) -> usize {
-        self.sketch.budget()
-    }
-
-    /// The approximation knob `ε` the run was configured with.
-    #[must_use]
-    pub fn eps(&self) -> f64 {
-        self.sketch.eps()
-    }
-
-    /// The quantization step `δ`.
-    #[must_use]
-    pub fn delta(&self) -> f64 {
-        self.sketch.delta()
-    }
-
-    /// The grid radius `Q` (grid indices span `-Q..=Q`).
-    #[must_use]
-    pub fn q_radius(&self) -> usize {
-        self.sketch.q_radius()
-    }
-
-    /// Peak number of simultaneously live DP cells so far.
-    #[must_use]
-    pub fn peak_cells(&self) -> usize {
-        self.sketch.peak_cells()
-    }
-
-    /// Peak resident sketch bytes so far.
-    #[must_use]
-    pub fn peak_bytes(&self) -> usize {
-        self.sketch.peak_bytes()
-    }
-
     /// See [`StreamSketch::state_bound_cells`].
     #[must_use]
     pub fn state_bound_cells(&self) -> usize {
@@ -1299,7 +1199,7 @@ mod tests {
         // `2B - 1` shared nodes (each with a possible free-list slot);
         // the store also keeps its unused slot 0, and the frontier
         // stack never outgrows its initial capacity.
-        let bound_bytes = bound * (CELL_BYTES + (2 * builder.budget() - 1) * (NODE_BYTES + 4))
+        let bound_bytes = bound * (CELL_BYTES + (2 * builder.sketch.budget - 1) * (NODE_BYTES + 4))
             + NODE_BYTES
             + builder.sketch.stack.capacity() * std::mem::size_of::<Pending>();
         builder.push_slice(&data).unwrap();
@@ -1344,7 +1244,7 @@ mod tests {
                 ),
                 other => panic!("{data:?} b={b}: expected Invalid, got {other:?}"),
             }
-            assert_eq!(builder.pushed(), 2, "{data:?} b={b}");
+            assert_eq!(builder.sketch.pushed, 2, "{data:?} b={b}");
             assert_eq!(builder.push(0.0).unwrap_err(), err, "{data:?} b={b}");
             assert_eq!(builder.finalize().unwrap_err(), err, "{data:?} b={b}");
         }

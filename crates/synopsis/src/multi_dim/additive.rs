@@ -393,6 +393,22 @@ mod tests {
         assert!(recon.data().iter().all(|v| v.is_finite()), "{recon:?}");
     }
 
+    /// At budget 0 every coefficient of the 2×2 cube `[MAX, -MAX, MAX,
+    /// 0]` is dropped, and adding them in order overflows a partial sum
+    /// (`avg + d₁ + d₂` passes `MAX` before `d₃` brings it back) although
+    /// each cell's full error is finite. The DP objective stays finite
+    /// and covers the realized error of the empty synopsis.
+    #[test]
+    fn partial_sums_past_max_keep_a_finite_objective() {
+        let max = f64::MAX;
+        let s = AdditiveScheme::new(&cube(2, 2, vec![max, -max, max, 0.0])).unwrap();
+        let r = s.run(0, ErrorMetric::absolute(), 0.1);
+        assert!(r.synopsis.is_empty());
+        assert!(r.dp_objective.is_finite(), "{r:?}");
+        assert!(r.true_objective >= max, "{r:?}");
+        assert!(r.dp_objective >= r.true_objective / 1.1, "{r:?}");
+    }
+
     #[test]
     fn non_finite_cubes_are_refused() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {

@@ -41,8 +41,11 @@ pub(crate) trait Scalar: Copy + PartialOrd + Default {
     /// the subset enumeration unless forced, and a zero root average is
     /// never kept.
     fn is_zero(self) -> bool;
-    /// `self` plus the dropped coefficient `v` entering with `sign` (±1).
-    fn add_signed(self, sign: f64, v: Self) -> Self;
+    /// `self` plus every dropped coefficient `v` entering with its
+    /// `sign` (±1), added in order.
+    fn add_signed_all<I>(self, terms: I) -> Self
+    where
+        I: Iterator<Item = (f64, Self)> + Clone;
 }
 
 impl Scalar for f64 {
@@ -62,8 +65,20 @@ impl Scalar for f64 {
         is_zero(self)
     }
 
-    fn add_signed(self, sign: f64, v: f64) -> f64 {
-        self + sign * v
+    /// A partial sum can overflow to `±∞` when the full sum is finite
+    /// (`MAX + MAX - MAX`). Then the sum is redone on halved terms and
+    /// doubled: halving and doubling are exact at these magnitudes, so a
+    /// finite true sum stays finite, and a sum whose partials all stay
+    /// finite keeps its bits.
+    fn add_signed_all<I>(self, terms: I) -> f64
+    where
+        I: Iterator<Item = (f64, f64)> + Clone,
+    {
+        let sum = terms.clone().fold(self, |acc, (sign, v)| acc + sign * v);
+        if sum.is_finite() {
+            return sum;
+        }
+        2.0 * terms.fold(self / 2.0, |acc, (sign, v)| acc + sign * (v / 2.0))
     }
 }
 
@@ -83,13 +98,18 @@ impl Scalar for i64 {
         self == 0
     }
 
-    fn add_signed(self, sign: f64, v: i64) -> i64 {
-        self.checked_add(if sign > 0.0 { v } else { -v })
-            // The scaled-coefficient domain bound (checked at transform
-            // time) keeps every path sum inside i64; overflow here means
-            // corrupted inputs, not a recoverable state.
-            // wsyn: allow(no-panic)
-            .expect("integer error accumulation overflow")
+    fn add_signed_all<I>(self, terms: I) -> i64
+    where
+        I: Iterator<Item = (f64, i64)> + Clone,
+    {
+        terms.fold(self, |acc, (sign, v)| {
+            acc.checked_add(if sign > 0.0 { v } else { -v })
+                // The scaled-coefficient domain bound (checked at transform
+                // time) keeps every path sum inside i64; overflow here means
+                // corrupted inputs, not a recoverable state.
+                // wsyn: allow(no-panic)
+                .expect("integer error accumulation overflow")
+        })
     }
 }
 
@@ -322,14 +342,15 @@ impl<D: ErrorDomain> Kernel<'_, D> {
         };
         (0..count)
             .map(|delta| {
-                let mut ec = e;
-                for (ci, c) in coeffs.iter().enumerate() {
-                    if s_mask >> ci & 1 == 0 {
+                let dropped = coeffs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(ci, _)| s_mask >> ci & 1 == 0)
+                    .map(|(_, c)| {
                         let sign = ErrorTreeNd::child_sign(c.bmask, narrow_u32(delta));
-                        ec = ec.add_signed(sign, c.value);
-                    }
-                }
-                self.dom.settle(ec)
+                        (sign, c.value)
+                    });
+                self.dom.settle(e.add_signed_all(dropped))
             })
             .collect()
     }

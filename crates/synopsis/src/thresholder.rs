@@ -138,18 +138,6 @@ impl AnySynopsis {
             _ => Err(WsynError::dimension_mismatch(what)),
         }
     }
-
-    /// The histogram synopsis, or a [`WsynError::DimensionMismatch`]
-    /// naming `what` when the run produced a wavelet one.
-    ///
-    /// # Errors
-    /// [`WsynError::DimensionMismatch`] for a non-histogram synopsis.
-    pub fn into_histogram(self, what: &str) -> Result<wsyn_hist::StepSynopsis, WsynError> {
-        match self {
-            AnySynopsis::Histogram(s) => Ok(s),
-            _ => Err(WsynError::dimension_mismatch(what)),
-        }
-    }
 }
 
 /// Result of driving any [`Thresholder`]: the synopsis, the maximum error

@@ -6,7 +6,6 @@
 //!
 //! Run with: `cargo run --release --example olap_cube`
 
-use wavelet_synopses::aqp::QueryEngineNd;
 use wavelet_synopses::datagen::{cube_bumps, quantize_to_i64};
 use wavelet_synopses::haar::nd::{NdArray, NdShape};
 use wavelet_synopses::synopsis::multi_dim::additive::AdditiveScheme;
@@ -61,7 +60,6 @@ fn main() {
     }
 
     // Answer OLAP range aggregates directly from the synopsis.
-    let engine = QueryEngineNd::new(abs.synopsis.clone());
     println!("\nrange aggregates from the (1+eps) synopsis:");
     for (r0, r1) in [(0..8usize, 0..8usize), (8..16, 8..16), (4..12, 0..16)] {
         let mut exact = 0.0;
@@ -70,7 +68,7 @@ fn main() {
                 exact += sales_f[shape.linearize(&[x0, x1])];
             }
         }
-        let est = engine.range_sum(&[r0.clone(), r1.clone()]);
+        let est = abs.synopsis.range_sum(&[r0.clone(), r1.clone()]);
         let cells = (r0.end - r0.start) * (r1.end - r1.start);
         println!(
             "  sum over {r0:?} x {r1:?}: est {est:>12.0}, exact {exact:>12.0}, \

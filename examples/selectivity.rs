@@ -11,7 +11,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wavelet_synopses::aqp::QueryEngine1d;
 use wavelet_synopses::datagen::{zipf, ZipfPlacement};
 use wavelet_synopses::haar::ErrorTree1d;
 use wavelet_synopses::prob::MinRelVar;
@@ -63,7 +62,7 @@ fn main() {
         })
         .collect();
 
-    let engines: [(&str, Synopsis1d); 3] = [
+    let synopses: [(&str, Synopsis1d); 3] = [
         ("MinMaxErr", det.synopsis.clone()),
         ("greedy-L2", l2),
         ("MinRelVar", prob),
@@ -75,8 +74,8 @@ fn main() {
     for &(lo, hi) in &queries {
         let exact: f64 = freq[lo..hi].iter().sum();
         let mut row = format!("[{lo:>3}, {hi:>3})  {exact:>12.0}");
-        for (_, syn) in &engines {
-            let est = QueryEngine1d::new(syn.clone()).range_sum(lo..hi);
+        for (_, syn) in &synopses {
+            let est = syn.range_sum(lo..hi);
             row.push_str(&format!(" {est:>12.0}"));
         }
         println!("{row}");

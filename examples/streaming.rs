@@ -44,7 +44,7 @@ fn main() {
         }
         // Every 1000 steps: verify the conservative guarantee holds.
         if step % 1000 == 999 {
-            let synopsis = built.engine.as_wavelet().unwrap().synopsis();
+            let synopsis = built.engine.as_wavelet().unwrap();
             let true_err = synopsis.max_error(&data, ErrorMetric::absolute());
             println!(
                 "step {:>5}: true max abs err {:>9.2} <= guarantee {:>9.2}  (rebuilds so far: {})",

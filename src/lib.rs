@@ -21,8 +21,10 @@
 //!   enumeration oracle for small-N certification.
 //! * [`prob`] — the probabilistic baselines (MinRelVar / MinRelBias) of
 //!   Garofalakis & Gibbons that the paper compares against.
-//! * [`aqp`] — an approximate-query-processing engine answering point and
-//!   range-aggregate queries directly from synopses.
+//! * [`aqp`] — approximate query processing on top of the synopses' own
+//!   point and range-aggregate queries: the one 1-D synopsis type
+//!   (`AnySynopsis1d`) the server and the CLI answer from, per-answer
+//!   guaranteed intervals, and range-selectivity estimation.
 //! * [`stream`] — dynamic maintenance: exact `O(log N)` coefficient
 //!   updates, the guarantee-preserving rebuild rule over the optimal DP,
 //!   and one-pass streaming construction.

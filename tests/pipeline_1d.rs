@@ -3,7 +3,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wavelet_synopses::aqp::{bounds, QueryEngine1d};
+use wavelet_synopses::aqp::bounds;
 use wavelet_synopses::datagen::{gaussian_bumps, piecewise_constant, zipf, ZipfPlacement};
 use wavelet_synopses::haar::ErrorTree1d;
 use wavelet_synopses::prob::MinRelVar;
@@ -73,9 +73,8 @@ fn guarantees_hold_for_every_point_query() {
                 "{name} b={b}: objective {} vs true {true_err}",
                 det.objective
             );
-            let engine = QueryEngine1d::new(det.synopsis.clone());
             for (i, &d) in data.iter().enumerate() {
-                let iv = bounds::point_relative(engine.point(i), det.objective, 2.0);
+                let iv = bounds::point_relative(det.synopsis.point(i), det.objective, 2.0);
                 assert!(iv.contains(d), "{name} b={b} i={i}: {iv:?} vs {d}");
             }
         }
@@ -89,11 +88,10 @@ fn range_sum_guarantees_hold() {
     let det = MinMaxErr::new(&data)
         .unwrap()
         .run(10, ErrorMetric::absolute());
-    let engine = QueryEngine1d::new(det.synopsis.clone());
     for lo in (0..64).step_by(7) {
         for hi in ((lo + 1)..=64).step_by(9) {
             let exact: f64 = data[lo..hi].iter().sum();
-            let est = engine.range_sum(lo..hi);
+            let est = det.synopsis.range_sum(lo..hi);
             let iv = bounds::range_sum_absolute(est, det.objective, hi - lo);
             assert!(iv.contains(exact), "[{lo},{hi}): {iv:?} vs {exact}");
         }

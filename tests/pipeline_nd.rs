@@ -1,8 +1,7 @@
 //! Cross-crate integration for the multi-dimensional schemes (§3.2):
-//! datagen cubes → nonstandard error tree → approximate DPs → N-D query
-//! engine, verifying the theorems' guarantees end to end.
+//! datagen cubes → nonstandard error tree → approximate DPs → N-D range
+//! queries on the synopsis, verifying the theorems' guarantees end to end.
 
-use wavelet_synopses::aqp::QueryEngineNd;
 use wavelet_synopses::datagen::{cube_bumps, quantize_to_i64};
 use wavelet_synopses::haar::nd::{NdArray, NdShape};
 use wavelet_synopses::synopsis::multi_dim::additive::AdditiveScheme;
@@ -74,7 +73,6 @@ fn nd_queries_consistent_with_reconstruction() {
     let (shape, data) = cube_2d(8, 13);
     let scheme = OnePlusEps::new(&shape, &data).unwrap();
     let r = scheme.run(12, 0.25);
-    let engine = QueryEngineNd::new(r.synopsis.clone());
     let recon = r.synopsis.reconstruct();
     for (r0, r1) in [
         (0..8usize, 0..8usize),
@@ -88,7 +86,7 @@ fn nd_queries_consistent_with_reconstruction() {
                 expect += recon.get(&[x0, x1]);
             }
         }
-        let got = engine.range_sum(&[r0.clone(), r1.clone()]);
+        let got = r.synopsis.range_sum(&[r0.clone(), r1.clone()]);
         assert!(
             (got - expect).abs() < 1e-6 * (1.0 + expect.abs()),
             "{r0:?}x{r1:?}: {got} vs {expect}"
